@@ -13,7 +13,10 @@
 // drives the engine and waiters block on a condition variable. Under the
 // simulator nothing runs until somebody advances virtual time, so waiters
 // call the configured pump() in a loop (with the engine unlocked) until the
-// completion lands — exactly the bridging the synchronous client had.
+// completion lands; a wait for one command's reply hands the pump its
+// handle so virtual time stops at the reply (DESIGN.md §1i). A submit that
+// finds no command awaiting a reply rings the kick() doorbell so the hosting
+// node sends it now rather than at its next periodic tick.
 //
 // Pipelining: up to kMaxOutstanding commands ride concurrently (submit
 // blocks for ROOM, never for commits); that backlog is what lets a batching
@@ -34,7 +37,9 @@
 // thousands of logical sessions without the allocator in the loop.
 #pragma once
 
+#include <algorithm>
 #include <array>
+#include <bitset>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -54,6 +59,9 @@ using consensus::MsgType;
 using consensus::NodeId;
 using consensus::Op;
 
+class AsyncClientEngine;
+class SubmitHandle;
+
 struct AsyncClientConfig {
   consensus::EngineConfig base;
   NodeId initial_target = 0;
@@ -67,12 +75,17 @@ struct AsyncClientConfig {
   std::int32_t coalesce = 1;
 
   // Simulator bridge: when set, blocking waits advance virtual time by
-  // calling this (expected to run the simulation for a slice) instead of
-  // sleeping on the condition variable.
-  std::function<void()> pump;
-};
+  // calling this instead of sleeping on the condition variable. A wait for
+  // pipeline room passes null and the pump runs one slice; a wait for one
+  // command's reply passes its handle and the pump stops once that reply
+  // has landed, at the reply's virtual time.
+  std::function<void(const SubmitHandle* awaited)> pump;
 
-class AsyncClientEngine;
+  // Simulator doorbell: when set, a submit that finds no command awaiting a
+  // reply calls this (engine unlocked) to run the hosting node's tick at the
+  // current virtual time instead of at its next periodic tick.
+  std::function<void()> kick;
+};
 
 // Completion token for one submitted command. Default-constructed handles
 // are invalid; valid ones stay usable until the engine is destroyed (the
@@ -122,6 +135,13 @@ class AsyncClientEngine final : public Engine {
   // Pipeline depth bound: one batching leader can absorb at most this many
   // commands into a single instance anyway.
   static constexpr std::int32_t kMaxOutstanding = consensus::kMaxCommandsPerBatch;
+  // Seq window: seq s is submitted only once every seq up to s - kSeqWindow
+  // has its reply, so a command that lags (a retry stuck behind a slow
+  // leader) holds back new submits instead of falling out of the replicas'
+  // dedup window, which keeps exactly this many seqs per client
+  // (consensus::Executor). Without it an older command landing in the log
+  // after far newer ones would be dropped as a duplicate yet acknowledged.
+  static constexpr std::int32_t kSeqWindow = consensus::Executor::kWindow;
 
   explicit AsyncClientEngine(const AsyncClientConfig& cfg)
       : cfg_(cfg), target_(cfg.initial_target) {
@@ -144,8 +164,10 @@ class AsyncClientEngine final : public Engine {
 
   SubmitHandle submit(const Command& proto) {
     std::unique_lock<std::mutex> lock(mu_);
-    wait_locked(lock, [this] { return in_flight_count() < kMaxOutstanding; });
-    return enqueue_locked(proto, /*run=*/0);
+    wait_locked(lock, [this] { return room_locked() >= 1; });
+    SubmitHandle handle = enqueue_locked(proto, /*run=*/0);
+    ring_doorbell(lock);
+    return handle;
   }
 
   // Queue a run of commands that should share kClientCmdBatch frames on
@@ -157,11 +179,11 @@ class AsyncClientEngine final : public Engine {
     handles.reserve(protos.size());
     std::unique_lock<std::mutex> lock(mu_);
     wait_locked(lock, [this, &protos] {
-      return in_flight_count() + static_cast<std::int32_t>(protos.size()) <=
-             kMaxOutstanding;
+      return room_locked() >= static_cast<std::int32_t>(protos.size());
     });
     const std::uint32_t run = ++next_run_;
     for (const Command& proto : protos) handles.push_back(enqueue_locked(proto, run));
+    ring_doorbell(lock);
     return handles;
   }
 
@@ -179,7 +201,7 @@ class AsyncClientEngine final : public Engine {
   // Room left in the pipeline right now (how many submits would not block).
   std::int32_t available() const {
     std::lock_guard<std::mutex> lock(mu_);
-    return kMaxOutstanding - in_flight_count();
+    return room_locked();
   }
 
   // The newest nonzero ClientReply::lease_epoch seen from this group's
@@ -188,6 +210,13 @@ class AsyncClientEngine final : public Engine {
   std::uint32_t latest_epoch() const {
     std::lock_guard<std::mutex> lock(mu_);
     return latest_epoch_;
+  }
+
+  // How many submits found no command awaiting a reply and rang the kick()
+  // doorbell (always 0 without one, i.e. off the simulator).
+  std::uint64_t doorbells() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return doorbells_;
   }
 
   // An already-completed handle carrying `result` — what a near-cache hit
@@ -225,6 +254,7 @@ class AsyncClientEngine final : public Engine {
   void tick(Context& ctx) override {
     std::lock_guard<std::mutex> lock(mu_);
     const Nanos now = ctx.now();
+    doorbell_rung_ = false;  // this tick launches whatever the bell announced
     // Launch queued commands from the hosting node's thread. Members of one
     // run travel together in kClientCmdBatch frames; everything else goes
     // as a legacy kClientRequest.
@@ -295,6 +325,14 @@ class AsyncClientEngine final : public Engine {
 
   std::int32_t in_flight_count() const { return queued_count_ + sent_count_; }
 
+  // Room for new commands: a free pipeline slot, and a seq no further than
+  // kSeqWindow - 1 past the oldest command still awaiting its reply.
+  std::int32_t room_locked() const {
+    const auto window_left =
+        static_cast<std::int32_t>(oldest_unacked_ + kSeqWindow - (next_seq_ + 1));
+    return std::min(kMaxOutstanding - in_flight_count(), window_left);
+  }
+
   // ---- queued ring (capacity kMaxOutstanding; in_flight_count() <=
   // kMaxOutstanding is the submit-side invariant, so it never overflows) ----
 
@@ -344,6 +382,10 @@ class AsyncClientEngine final : public Engine {
     Sent& f = sent_[static_cast<std::size_t>(slot)];
     f.used = false;
     --sent_count_;
+    unacked_.reset(f.cmd.seq % kSeqWindow);
+    while (oldest_unacked_ <= next_seq_ && !unacked_.test(oldest_unacked_ % kSeqWindow)) {
+      ++oldest_unacked_;
+    }
     // Recycle the completion once the application drops its handle: the
     // spare list is scanned at enqueue time for an entry nobody else
     // references. Entries still held by the app stay parked here (they
@@ -370,6 +412,7 @@ class AsyncClientEngine final : public Engine {
     p.cmd = proto;
     p.cmd.client = cfg_.base.self;
     p.cmd.seq = ++next_seq_;
+    unacked_.set(p.cmd.seq % kSeqWindow);
     p.completion = acquire_completion_locked();
     p.run = run;
     SubmitHandle handle(this, p.completion);
@@ -407,16 +450,30 @@ class AsyncClientEngine final : public Engine {
   }
 
   template <typename Pred>
-  void wait_locked(std::unique_lock<std::mutex>& lock, Pred pred) {
+  void wait_locked(std::unique_lock<std::mutex>& lock, Pred pred,
+                   const SubmitHandle* awaited = nullptr) {
     if (cfg_.pump) {
       while (!pred()) {
         lock.unlock();
-        cfg_.pump();  // advances the simulation; may re-enter on_message/tick
+        cfg_.pump(awaited);  // advances the simulation; may re-enter on_message/tick
         lock.lock();
       }
     } else {
       done_cv_.wait(lock, pred);
     }
+  }
+
+  // With no command awaiting a reply, the hosting node would only launch
+  // the queue at its next periodic tick: ring the doorbell instead, once
+  // until a tick runs. While replies are outstanding the periodic tick
+  // keeps launching, so later submits coalesce into its sends. Rung with
+  // the engine unlocked: the pump holds its own lock while it takes ours.
+  void ring_doorbell(std::unique_lock<std::mutex>& lock) {
+    if (!cfg_.kick || sent_count_ != 0 || doorbell_rung_) return;
+    doorbell_rung_ = true;
+    ++doorbells_;
+    lock.unlock();
+    cfg_.kick();
   }
 
   void send_locked(Context& ctx, const Command& cmd, bool suspect) {
@@ -432,6 +489,11 @@ class AsyncClientEngine final : public Engine {
   mutable std::mutex mu_;
   std::condition_variable done_cv_;
   std::uint32_t next_seq_ = 0;
+  // Seqs whose reply has not arrived, by seq % kSeqWindow (they all lie in
+  // [oldest_unacked_, oldest_unacked_ + kSeqWindow)), and the lowest such
+  // seq (next_seq_ + 1 when none is outstanding).
+  std::bitset<kSeqWindow> unacked_;
+  std::uint32_t oldest_unacked_ = 1;
   std::uint32_t next_run_ = 0;
   // Not yet sent (tick launches them): fixed ring, FIFO.
   std::array<Pending, kMaxOutstanding> queued_;
@@ -443,6 +505,8 @@ class AsyncClientEngine final : public Engine {
   // Recycled Completion objects (see release_sent_locked).
   std::vector<std::shared_ptr<SubmitHandle::Completion>> spare_;
   std::uint32_t latest_epoch_ = 0;  // newest nonzero reply epoch
+  bool doorbell_rung_ = false;      // kick() called, no tick since
+  std::uint64_t doorbells_ = 0;
 };
 
 inline bool SubmitHandle::done() const {
@@ -454,7 +518,7 @@ inline bool SubmitHandle::done() const {
 inline std::uint64_t SubmitHandle::wait() {
   CI_CHECK_MSG(state_ != nullptr, "waiting on an invalid SubmitHandle");
   std::unique_lock<std::mutex> lock(engine_->mu_);
-  engine_->wait_locked(lock, [this] { return state_->done; });
+  engine_->wait_locked(lock, [this] { return state_->done; }, this);
   return state_->result;
 }
 

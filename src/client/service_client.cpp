@@ -70,16 +70,28 @@ NodeId Session::believed_leader_for(std::uint64_t key) const {
 
 // Simulator transport for sessions: virtual time only advances while some
 // session blocks in a wait, pumping slices through run_until. The mutex
-// serializes pumps from concurrent session threads.
+// serializes pumps from concurrent session threads. A wait for one reply
+// stops at the event that lands it and resumes at its completion time; a
+// wait for pipeline room runs the whole slice (DESIGN.md §1i).
 struct ServiceClient::SimState {
   static constexpr Nanos kPumpSlice = 50 * kMicrosecond;
 
   std::mutex mu;
   std::unique_ptr<sim::SimNet> net;
 
-  void pump() {
+  void pump(const SubmitHandle* awaited) {
     std::lock_guard<std::mutex> lock(mu);
-    net->run_until(net->now() + kPumpSlice);
+    const Nanos until = net->now() + kPumpSlice;
+    if (awaited == nullptr) {
+      net->run_until(until);
+    } else if (net->run_until(until, [awaited] { return awaited->done(); })) {
+      net->run_until(awaited->completed_at());
+    }
+  }
+
+  void kick(consensus::NodeId node) {
+    std::lock_guard<std::mutex> lock(mu);
+    net->kick(node);
   }
 };
 
@@ -118,7 +130,10 @@ ServiceClient::ServiceClient(const Options& opts)
       cc.base.state_machine = nullptr;
       cc.request_timeout = opts_.spec.workload.request_timeout;
       cc.coalesce = opts_.spec.workload.client_coalesce;
-      if (is_sim) cc.pump = [state = sim_.get()] { state->pump(); };
+      if (is_sim) {
+        cc.pump = [state = sim_.get()](const SubmitHandle* awaited) { state->pump(awaited); };
+        cc.kick = [state = sim_.get(), node = seat.global] { state->kick(node); };
+      }
       session->per_group_.push_back(std::make_unique<AsyncClientEngine>(cc));
       engines.push_back(session->per_group_.back().get());
     }

@@ -113,6 +113,7 @@ class Batcher {
     if (last_arrival_ != kNoTime && now >= last_arrival_) {
       const Nanos gap = std::max<Nanos>(now - last_arrival_, 1);
       ewma_gap_ = ewma_gap_ == 0 ? gap : (3 * ewma_gap_ + gap) / 4;
+      last_gap_ = gap;
     }
     last_arrival_ = now;
     q_.push_back({cmd, now});
@@ -151,10 +152,14 @@ class Batcher {
   // batch=1 latency); otherwise a handful of predicted gaps, capped by the
   // budget (enough fill to keep msgs/op amortized at mid load — saturation
   // never gets here, full batches and in-flight accumulation flush first).
+  // The newest arrival's own gap overrides the estimate when it alone spans
+  // the budget: a burst drives the EWMA toward zero, and the lone command
+  // that follows the silence would otherwise hold the whole budget for
+  // company that the silence says is not coming.
   Nanos idle_hold() const {
     if (!policy_.adaptive()) return policy_.flush_after;
     const Nanos budget = policy_.adaptive_hold_budget();
-    if (ewma_gap_ == 0 || ewma_gap_ >= budget) return 0;
+    if (ewma_gap_ == 0 || ewma_gap_ >= budget || last_gap_ >= budget) return 0;
     return std::min<Nanos>(budget, BatchPolicy::kAdaptiveHoldGaps * ewma_gap_);
   }
 
@@ -194,6 +199,7 @@ class Batcher {
   std::deque<Pending> q_;
   Nanos last_arrival_ = kNoTime;  // newest push() time (re-queues excluded)
   Nanos ewma_gap_ = 0;            // EWMA inter-arrival gap; 0 = no estimate
+  Nanos last_gap_ = 0;            // the newest push()'s own gap; 0 = none yet
 };
 
 // ---- Wire helpers ----

@@ -2,6 +2,8 @@
 // the exactly-once executor every replica runs over its log.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
@@ -218,10 +220,18 @@ class MapStateMachine final : public StateMachine {
 
 // Applies log entries exactly once per (client, seq): a command can occupy
 // two instances after a client retry straddles a leader change, and the
-// duplicate must not re-execute. The last result per client is cached so a
-// deduplicated retry still answers with the original result.
+// duplicate must not re-execute. A pipelined client's retry can also put an
+// OLDER command into the log after newer ones, and that one must still
+// apply. So each client keeps a window of its newest kWindow seqs with their
+// results: a seq in the window applies if it has not, and a true duplicate
+// answers with its original result. A seq below the window is a duplicate:
+// clients submit seq s only once every seq up to s - kWindow has its reply
+// (client::AsyncClientEngine::kSeqWindow), so such a seq was applied before
+// any seq that could have pushed it out.
 class Executor {
  public:
+  static constexpr std::int32_t kWindow = 2 * kMaxCommandsPerBatch;
+
   explicit Executor(StateMachine* sm) : sm_(sm) {}
 
   struct Applied {
@@ -232,42 +242,41 @@ class Executor {
   Applied apply(const Command& cmd) {
     Applied out;
     if (cmd.is_noop()) return out;
-    if (cmd.client != kNoNode) {
-      auto [it, inserted] = last_.try_emplace(cmd.client, LastOp{cmd.seq, 0});
-      if (!inserted) {
-        if (cmd.seq < it->second.seq) {
-          out.duplicate = true;  // older than the cache: result long gone
-          return out;
-        }
-        if (cmd.seq == it->second.seq) {
-          out.duplicate = true;
-          out.result = it->second.result;
-          return out;
-        }
-        it->second.seq = cmd.seq;
-      }
+    if (cmd.client == kNoNode) {
       if (sm_ != nullptr) out.result = sm_->execute(cmd);
-      it->second.result = out.result;
+      return out;
+    }
+    Window& w = windows_[cmd.client];
+    Slot& slot = w.slots[cmd.seq % kWindow];
+    if (static_cast<std::uint64_t>(cmd.seq) + kWindow <= w.high) {
+      out.duplicate = true;  // below the window: applied long ago, result gone
+      return out;
+    }
+    if (slot.used && slot.seq == cmd.seq) {
+      out.duplicate = true;
+      out.result = slot.result;
       return out;
     }
     if (sm_ != nullptr) out.result = sm_->execute(cmd);
+    slot = Slot{true, cmd.seq, out.result};
+    w.high = std::max<std::uint64_t>(w.high, cmd.seq);
     return out;
   }
 
-  std::uint64_t executed_commands() const {
-    std::uint64_t n = 0;
-    for (const auto& [client, last] : last_) n += last.seq;
-    return n;
-  }
-
  private:
-  struct LastOp {
+  struct Slot {
+    bool used = false;
     std::uint32_t seq = 0;
     std::uint64_t result = 0;
   };
+  // slots[s % kWindow] holds seq s once applied, for s in (high - kWindow, high].
+  struct Window {
+    std::uint64_t high = 0;  // highest applied seq
+    std::array<Slot, kWindow> slots{};
+  };
 
   StateMachine* sm_;
-  std::unordered_map<NodeId, LastOp> last_;
+  std::unordered_map<NodeId, Window> windows_;
 };
 
 }  // namespace ci::consensus

@@ -61,7 +61,6 @@ RtCluster::RtCluster(const ShardSpec& shard)
   });
 
   for (NodeId n = 0; n < dep_.num_nodes(); ++n) {
-    burners_.push_back(std::make_unique<CoreBurner>());
     nodes_.push_back(std::make_unique<RtNode>(n, total, dep_.node_engine(n), net_.get(),
                                               core_for(n)));
   }
@@ -99,7 +98,6 @@ void RtCluster::stop() {
   stopped_at_ = now_nanos();
   for (auto& n : nodes_) n->request_stop();
   for (auto& n : nodes_) n->join();
-  for (auto& b : burners_) b->stop();
 }
 
 void RtCluster::apply_faults(Nanos elapsed) {
@@ -193,16 +191,6 @@ RunResult RtCluster::collect_group(GroupId g) {
   // node's traffic is not attributable to one group (co-location shares
   // nodes across groups). Read collect() for whole-transport counts.
   return res;
-}
-
-void RtCluster::slow_core_of(NodeId node, int burner_count) {
-  CI_CHECK(node >= 0 && node < dep_.num_nodes());
-  burners_[static_cast<std::size_t>(node)]->start(core_for(node), burner_count);
-}
-
-void RtCluster::heal_core_of(NodeId node) {
-  CI_CHECK(node >= 0 && node < dep_.num_nodes());
-  burners_[static_cast<std::size_t>(node)]->stop();
 }
 
 void RtCluster::throttle_node(NodeId node, std::uint32_t factor) {

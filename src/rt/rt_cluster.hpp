@@ -27,7 +27,6 @@
 #include "core/run_result.hpp"
 #include "qclt/net.hpp"
 #include "rt/rt_node.hpp"
-#include "rt/slowdown.hpp"
 
 namespace ci::rt {
 
@@ -61,12 +60,6 @@ class RtCluster {
   void stop();
   RunResult collect();
   RunResult collect_group(GroupId g);
-
-  // Slow the core hosting transport node `node` with busy threads (paper
-  // §7.6). Only effective where thread affinity really constrains
-  // scheduling (bare metal); container sandboxes often emulate affinity.
-  void slow_core_of(consensus::NodeId node, int burners = 8);
-  void heal_core_of(consensus::NodeId node);
 
   // Portable slow-core injection: multiplies the node's per-message cost
   // (see RtNode::set_slow_factor). factor 1 = healthy. `node` is a
@@ -109,7 +102,6 @@ class RtCluster {
   std::unique_ptr<consensus::Engine> load_manager_;
   std::unique_ptr<qclt::Network> net_;
   std::vector<std::unique_ptr<RtNode>> nodes_;
-  std::vector<std::unique_ptr<CoreBurner>> burners_;  // per transport node
   // Per transport node: every (group, local id, instance, command) its
   // engines executed. Written only by that node's thread (outer vector
   // never resizes while running), read after join().

@@ -49,9 +49,9 @@ class RtNode {
 
   // Portable slow-core injection: every message this node processes (and
   // every tick) costs an extra (factor-1) x 500ns busy-wait, collapsing the
-  // node's processing rate the way a contended core would. Used when real
-  // core pinning is unavailable (container sandboxes emulate affinity);
-  // see CoreBurner for the paper's literal burner-process method.
+  // node's processing rate the way a contended core would. It stands in
+  // for the paper's burner processes pinned beside the victim core (§7.6),
+  // which do not contend where sandboxes only emulate affinity.
   void set_slow_factor(std::uint32_t factor) {
     slow_factor_.store(factor == 0 ? 1 : factor, std::memory_order_relaxed);
   }

@@ -175,12 +175,7 @@ void SimNet::process(Event& e) {
       break;
     }
     case Event::Kind::kTick: {
-      // Ticks wait for the CPU like any other work but cost ~nothing
-      // themselves; their sends are charged normally.
-      const Nanos t0 = std::max(e.time, n.busy_until);
-      n.logical_now = t0;
-      n.busy_until = std::max(n.busy_until, t0);
-      n.engine_->tick(n);
+      run_tick(n, e.time);
       Event next;
       next.time = e.time + tick_period_;
       next.seq = seq_++;
@@ -189,6 +184,10 @@ void SimNet::process(Event& e) {
       push_event(std::move(next));
       break;
     }
+    case Event::Kind::kKick:
+      n.kick_pending = false;
+      run_tick(n, e.time);
+      break;
     case Event::Kind::kCall: {
       n.logical_now = std::max(e.time, n.logical_now);
       e.call();
@@ -197,7 +196,28 @@ void SimNet::process(Event& e) {
   }
 }
 
-void SimNet::run_until(Nanos until) {
+// Ticks wait for the CPU like any other work but cost ~nothing themselves;
+// their sends are charged normally.
+void SimNet::run_tick(NodeCtx& n, Nanos t) {
+  const Nanos t0 = std::max(t, n.busy_until);
+  n.logical_now = t0;
+  n.busy_until = t0;
+  n.engine_->tick(n);
+}
+
+void SimNet::kick(NodeId node) {
+  NodeCtx& n = *nodes_[static_cast<std::size_t>(node)];
+  if (n.kick_pending) return;
+  n.kick_pending = true;
+  Event e;
+  e.time = now_;
+  e.seq = seq_++;
+  e.kind = Event::Kind::kKick;
+  e.node = node;
+  push_event(std::move(e));
+}
+
+bool SimNet::run_until(Nanos until, const std::function<bool()>& stop) {
   if (!started_) {
     started_ = true;
     for (auto& n : nodes_) {
@@ -221,8 +241,10 @@ void SimNet::run_until(Nanos until) {
     event_queue_.pop_back();
     now_ = e.time;
     process(e);
+    if (stop && stop()) return true;
   }
   now_ = std::max(now_, until);
+  return false;
 }
 
 }  // namespace ci::sim

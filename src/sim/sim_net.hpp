@@ -59,8 +59,16 @@ class SimNet {
 
   // Processes events until virtual time reaches `until` (or the queue runs
   // dry, which cannot happen while ticking). Can be called repeatedly with
-  // increasing deadlines.
-  void run_until(Nanos until);
+  // increasing deadlines. A `stop` predicate is checked after each event:
+  // once it holds the call returns true right away, with now() at that
+  // event's time and every later event still queued.
+  bool run_until(Nanos until, const std::function<bool()>& stop = nullptr);
+
+  // Doorbell: runs `node`'s tick at the current virtual time, as one extra
+  // event beside its periodic ticks (which keep their schedule). Like a tick
+  // it waits for the node's CPU and costs nothing itself; its sends are
+  // charged as usual. Rings while one is still pending are absorbed.
+  void kick(NodeId node);
 
   // Stop ticking a node (ends the simulation cleanly once the queue drains).
   Nanos now() const { return now_; }
@@ -87,7 +95,7 @@ class SimNet {
   struct Event {
     Nanos time = 0;
     std::uint64_t seq = 0;
-    enum class Kind : std::uint8_t { kMessage, kTick, kCall } kind = Kind::kMessage;
+    enum class Kind : std::uint8_t { kMessage, kTick, kKick, kCall } kind = Kind::kMessage;
     NodeId node = -1;
     std::unique_ptr<Message> msg;               // kMessage, self-sends only
     std::unique_ptr<unsigned char[]> frame;     // kMessage, cross-node only
@@ -138,12 +146,14 @@ class SimNet {
     Nanos skew_anchor_real = 0;
     Nanos skew_anchor_seen = 0;
     double skew_rate = 1.0;
+    bool kick_pending = false;  // a kKick event is queued (kick() dedup)
   };
 
   void send_from(NodeCtx& src, NodeId dst, const Message& m);
   double speed_factor(const NodeCtx& n, Nanos t) const;
   void push_event(Event e);
   void process(Event& e);
+  void run_tick(NodeCtx& n, Nanos t);
   std::unique_ptr<unsigned char[]> acquire_frame();
   void recycle_frame(std::unique_ptr<unsigned char[]> frame);
 

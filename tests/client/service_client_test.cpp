@@ -9,6 +9,8 @@
 #include <string>
 #include <vector>
 
+#include "consensus/multi_paxos.hpp"
+
 namespace ci::client {
 namespace {
 
@@ -144,6 +146,76 @@ TEST(ServiceClient, ShardedSessionsRouteByKey) {
   s.flush();
   EXPECT_TRUE(seen[0] && seen[1] && seen[2] && seen[3]);  // hash spreads
   for (std::uint64_t k = 0; k < 64; ++k) EXPECT_EQ(s.execute(Op::kRead, k, 0), k + 1);
+}
+
+// ---- Session wake rules on the simulator (DESIGN.md §1i) ----
+
+TEST(SimWake, WaitResumesAtTheReplysVirtualTime) {
+  ServiceClient svc(sim_opts());
+  Session& s = svc.session(0);
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    SubmitHandle h = s.submit(Op::kWrite, 1, i);
+    h.wait();
+    EXPECT_EQ(svc.sim_now(), h.completed_at()) << "write " << i;
+  }
+  SubmitHandle read = s.submit(Op::kRead, 1, 0);
+  EXPECT_EQ(read.wait(), 5u);
+  EXPECT_EQ(svc.sim_now(), read.completed_at());
+}
+
+TEST(SimWake, LoneLeaseReadFinishesWithinOneTick) {
+  ServiceClient::Options o = sim_opts();
+  o.spec.apply(core::TimeoutProfile::many_core());
+  o.spec.engine.lease_duration = 4 * kMillisecond;
+  o.spec.engine.lease_epsilon = 400 * kMicrosecond;
+  ServiceClient svc(o);
+  Session& s = svc.session(0);
+  s.execute(Op::kWrite, 3, 33);
+  svc.sim_run_until(svc.sim_now() + 10 * kMillisecond);  // heartbeats grant the lease
+  const auto lease_reads = [&] {
+    std::uint64_t n = 0;
+    for (consensus::NodeId r = 0; r < svc.num_replicas(); ++r) {
+      n += svc.deployment().group(0).multi_paxos(r)->lease_reads();
+    }
+    return n;
+  };
+  const std::uint64_t before = lease_reads();
+  const Nanos tick = o.spec.sim.tick_period;
+  std::uint64_t reads = 0;
+  for (Nanos gap = kMicrosecond; gap <= tick; gap += kMicrosecond) {
+    // Sweep the submit instant across a whole tick period: an idle session
+    // sends at submit, so no read waits for the conduit's next tick.
+    svc.sim_run_until(svc.sim_now() + gap);
+    const Nanos submitted = svc.sim_now();
+    SubmitHandle h = s.submit(Op::kRead, 3, 0);
+    EXPECT_EQ(h.wait(), 33u);
+    EXPECT_LT(h.completed_at() - submitted, tick) << "after a " << gap << " ns gap";
+    ++reads;
+  }
+  EXPECT_EQ(lease_reads() - before, reads);
+}
+
+TEST(SimWake, SubmitWithRepliesOutstandingRingsNoDoorbell) {
+  ServiceClient svc(sim_opts());
+  Session& s = svc.session(0);
+  AsyncClientEngine& eng = s.group_client(0);
+  EXPECT_EQ(eng.doorbells(), 0u);
+  std::vector<SubmitHandle> handles;
+  for (std::uint64_t k = 0; k < AsyncClientEngine::kMaxOutstanding; ++k) {
+    handles.push_back(s.submit(Op::kWrite, k, k + 1));
+  }
+  // The first submit found the group idle and rang; the rest ride its kick.
+  EXPECT_EQ(eng.doorbells(), 1u);
+  EXPECT_EQ(eng.available(), 0);
+  // Waits for room while all 64 await replies, then enters beside the ones
+  // still outstanding: the periodic tick launches it, no bell.
+  handles.push_back(s.submit(Op::kWrite, 100, 1));
+  EXPECT_GT(AsyncClientEngine::kMaxOutstanding - eng.available(), 1);
+  EXPECT_EQ(eng.doorbells(), 1u);
+  s.flush();
+  for (std::uint64_t k = 0; k < AsyncClientEngine::kMaxOutstanding; ++k) {
+    EXPECT_EQ(s.execute(Op::kRead, k, 0), k + 1);
+  }
 }
 
 }  // namespace

@@ -207,6 +207,29 @@ TEST(Batcher, AdaptiveHoldIsCappedByTheBudget) {
   EXPECT_TRUE(b.ready(enq + p.flush_after, /*outstanding=*/0));
 }
 
+TEST(Batcher, AdaptiveFlushesALoneCommandAfterASilenceLongerThanTheBudget) {
+  // A burst drives the gap estimate toward zero; one later arrival after a
+  // silence past the budget leaves it well under the budget, yet that
+  // silence is the better forecast: the lone command proposes at once
+  // instead of holding the whole budget.
+  BatchPolicy p;
+  p.max_commands = 64;
+  p.flush_mode = BatchPolicy::FlushMode::kAdaptive;
+  p.flush_after = 100 * kMicrosecond;
+  Batcher b(p);
+  for (std::uint32_t s = 1; s <= 8; ++s) b.push(cmd(s), /*now=*/s * 100);
+  (void)b.take();
+  const Nanos late = 300 * kMicrosecond;
+  b.push(cmd(9), late);
+  ASSERT_LT(b.ewma_gap(), p.flush_after);  // the estimate alone would hold
+  EXPECT_TRUE(b.ready(late, /*outstanding=*/0));
+  // The next arrival comes soon after: the hold engages again.
+  b.push(cmd(10), late + 10 * kMicrosecond);
+  (void)b.take();
+  b.push(cmd(11), late + 20 * kMicrosecond);
+  EXPECT_FALSE(b.ready(late + 20 * kMicrosecond, /*outstanding=*/0));
+}
+
 TEST(Batcher, AdaptiveDefaultBudgetAppliesWhenFlushAfterUnset) {
   BatchPolicy p;
   p.max_commands = 8;

@@ -94,6 +94,29 @@ TEST(Executor, DuplicateReturnsCachedResult) {
   EXPECT_EQ(sm.read(5), 51u);    // state unchanged by the retry
 }
 
+TEST(Executor, OlderSeqLandingAfterANewerOneStillApplies) {
+  // A pipelined client's retry can put seq 1 into the log after seq 2. It
+  // was never applied, so it must apply (the client is told it committed),
+  // in log order; a second copy of either is then a true duplicate that
+  // answers with its own original result.
+  MapStateMachine sm;
+  Executor ex(&sm);
+  const auto second = ex.apply(make(1, 2, Op::kWrite, 5, 20));
+  EXPECT_FALSE(second.duplicate);
+  EXPECT_EQ(second.result, 0u);
+  const auto first = ex.apply(make(1, 1, Op::kWrite, 5, 10));
+  EXPECT_FALSE(first.duplicate);
+  EXPECT_EQ(first.result, 20u);        // applied after seq 2
+  EXPECT_EQ(sm.read(5), 10u);
+  EXPECT_EQ(sm.versioned_read(5), 2u);  // both writes took effect
+  const auto dup1 = ex.apply(make(1, 1, Op::kWrite, 5, 10));
+  const auto dup2 = ex.apply(make(1, 2, Op::kWrite, 5, 20));
+  EXPECT_TRUE(dup1.duplicate && dup2.duplicate);
+  EXPECT_EQ(dup1.result, 20u);
+  EXPECT_EQ(dup2.result, 0u);
+  EXPECT_EQ(sm.versioned_read(5), 2u);
+}
+
 TEST(Executor, NullStateMachineExecutesWithZeroResults) {
   Executor ex(nullptr);
   const auto applied = ex.apply(make(1, 1, Op::kWrite, 3, 33));

@@ -198,6 +198,83 @@ TEST(SimNet, TicksKeepFiringForever) {
   EXPECT_LE(node.ticks, 101);
 }
 
+// Counts ticks with the virtual time each one ran at.
+class TickLog final : public Engine {
+ public:
+  void on_message(Context&, const Message&) override {}
+  void tick(Context& ctx) override { at.push_back(ctx.now()); }
+  std::vector<Nanos> at;
+};
+
+TEST(SimNet, RunUntilStopsAtTheFirstEventThatSatisfiesStop) {
+  SimNet net(flat_model(), 1, kMillisecond);
+  Pinger pinger(1, 3);  // arrivals at 1100, 1200, 1300 (see SenderPaysPerMessageSerially)
+  Recorder recorder;
+  net.add_node(&pinger);
+  net.add_node(&recorder);
+  const bool stopped =
+      net.run_until(10 * kMicrosecond, [&] { return recorder.deliveries.size() == 2; });
+  EXPECT_TRUE(stopped);
+  EXPECT_EQ(net.now(), 1200);  // the second arrival's event time
+  EXPECT_EQ(recorder.deliveries.size(), 2u);
+  // The third delivery stays queued and runs on the next call.
+  EXPECT_FALSE(net.run_until(10 * kMicrosecond, [] { return false; }));
+  EXPECT_EQ(recorder.deliveries.size(), 3u);
+  EXPECT_EQ(net.now(), 10 * kMicrosecond);
+}
+
+TEST(SimNet, KickRunsOneTickNowAndLeavesPeriodicTicksAlone) {
+  SimNet net(flat_model(), 1, 10 * kMicrosecond);
+  TickLog node;
+  net.add_node(&node);
+  net.run_until(25 * kMicrosecond);  // periodic ticks at 10 and 20 us
+  ASSERT_EQ(node.at, (std::vector<Nanos>{10 * kMicrosecond, 20 * kMicrosecond}));
+  net.kick(0);
+  net.kick(0);  // rung while pending: absorbed
+  net.kick(0);
+  net.run_until(45 * kMicrosecond);
+  EXPECT_EQ(node.at, (std::vector<Nanos>{10 * kMicrosecond, 20 * kMicrosecond,
+                                         25 * kMicrosecond, 30 * kMicrosecond,
+                                         40 * kMicrosecond}));
+  net.kick(0);  // a fresh ring after the kick ran rings again
+  net.run_until(46 * kMicrosecond);
+  EXPECT_EQ(node.at.back(), 45 * kMicrosecond);
+  EXPECT_EQ(node.at.size(), 6u);
+}
+
+TEST(SimNet, KicksKeepRunsReproducible) {
+  LatencyModel jittery = flat_model();
+  jittery.prop_jitter = 500;
+  // A node that pings its peer from every tick, so kicked ticks add sends
+  // (and with them draws from the jitter RNG) between periodic ones.
+  class TickPinger final : public Engine {
+   public:
+    void on_message(Context&, const Message&) override {}
+    void tick(Context& ctx) override {
+      Message m(MsgType::kPing, ProtoId::kControl, ctx.self(), 1);
+      ctx.send(1, m);
+    }
+  };
+  auto run_once = [&] {
+    SimNet net(jittery, 7, 10 * kMicrosecond);
+    TickPinger pinger;
+    Recorder recorder;
+    net.add_node(&pinger);
+    net.add_node(&recorder);
+    for (Nanos t = 3 * kMicrosecond; t < 200 * kMicrosecond; t += 7 * kMicrosecond) {
+      net.run_until(t);
+      net.kick(0);
+    }
+    net.run_until(300 * kMicrosecond);
+    std::vector<Nanos> times;
+    for (auto& [at, m] : recorder.deliveries) times.push_back(at);
+    return times;
+  };
+  const std::vector<Nanos> first = run_once();
+  EXPECT_GT(first.size(), 50u);
+  EXPECT_EQ(first, run_once());
+}
+
 // The optional bandwidth term (LatencyModel::bytes_per_second), charged from
 // the encoded frame size the codec reports. Off by default — the legacy
 // per-message arithmetic must hold bit for bit (the timing pins above
