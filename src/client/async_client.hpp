@@ -14,9 +14,12 @@
 // simulator nothing runs until somebody advances virtual time, so waiters
 // call the configured pump() in a loop (with the engine unlocked) until the
 // completion lands; a wait for one command's reply hands the pump its
-// handle so virtual time stops at the reply (DESIGN.md §1i). A submit that
-// finds no command awaiting a reply rings the kick() doorbell so the hosting
-// node sends it now rather than at its next periodic tick.
+// handle so virtual time stops at the reply (DESIGN.md §1i). Every submit
+// rings the kick() doorbell (once until the hosting node's next tick) so the
+// node sends the command now rather than at its next periodic tick: on sim
+// the kick schedules the tick at the current virtual time, on net it wakes
+// the node's poll() (DESIGN.md §1h). rt's node loop ticks continuously and
+// needs no bell.
 //
 // Pipelining: up to kMaxOutstanding commands ride concurrently (submit
 // blocks for ROOM, never for commits); that backlog is what lets a batching
@@ -34,7 +37,9 @@
 // dropped them. After warmup a steady-state submit/complete cycle performs
 // no heap allocation (pinned by the alloc-guard suite), which is what lets
 // the open-loop workload engine (harness/workload.hpp) drive tens of
-// thousands of logical sessions without the allocator in the loop.
+// thousands of logical sessions without the allocator in the loop. The
+// same holds for queue_wait(): each command's wait from enqueue to first
+// send (stage 1 of its latency, client queue/coalesce) is summed in place.
 #pragma once
 
 #include <algorithm>
@@ -81,10 +86,25 @@ struct AsyncClientConfig {
   // has landed, at the reply's virtual time.
   std::function<void(const SubmitHandle* awaited)> pump;
 
-  // Simulator doorbell: when set, a submit that finds no command awaiting a
-  // reply calls this (engine unlocked) to run the hosting node's tick at the
-  // current virtual time instead of at its next periodic tick.
+  // Doorbell: when set, every submit / submit_run calls this (engine
+  // unlocked) unless a ring is already pending, i.e. none since the hosting
+  // node's last tick. It must make the node tick now instead of at its next
+  // periodic tick: sim schedules the tick at the current virtual time
+  // (SimNet::kick), net ends the node's poll() (NetNode::wake).
   std::function<void()> kick;
+
+  // The hosting node's clock as the application thread reads it, stamped on
+  // each command at enqueue for queue_wait(); wall time when unset. Called
+  // with the engine unlocked.
+  std::function<Nanos()> clock;
+};
+
+// Stage 1 of a command's latency: its wait in the client from enqueue to
+// first send, over every command launched so far.
+struct QueueWait {
+  std::uint64_t count = 0;
+  Nanos total_ns = 0;
+  Nanos max_ns = 0;
 };
 
 // Completion token for one submitted command. Default-constructed handles
@@ -164,8 +184,8 @@ class AsyncClientEngine final : public Engine {
 
   SubmitHandle submit(const Command& proto) {
     std::unique_lock<std::mutex> lock(mu_);
-    wait_locked(lock, [this] { return room_locked() >= 1; });
-    SubmitHandle handle = enqueue_locked(proto, /*run=*/0);
+    const Nanos now = await_room_locked(lock, 1);
+    SubmitHandle handle = enqueue_locked(proto, /*run=*/0, now);
     ring_doorbell(lock);
     return handle;
   }
@@ -178,11 +198,9 @@ class AsyncClientEngine final : public Engine {
     std::vector<SubmitHandle> handles;
     handles.reserve(protos.size());
     std::unique_lock<std::mutex> lock(mu_);
-    wait_locked(lock, [this, &protos] {
-      return room_locked() >= static_cast<std::int32_t>(protos.size());
-    });
+    const Nanos now = await_room_locked(lock, static_cast<std::int32_t>(protos.size()));
     const std::uint32_t run = ++next_run_;
-    for (const Command& proto : protos) handles.push_back(enqueue_locked(proto, run));
+    for (const Command& proto : protos) handles.push_back(enqueue_locked(proto, run, now));
     ring_doorbell(lock);
     return handles;
   }
@@ -212,11 +230,17 @@ class AsyncClientEngine final : public Engine {
     return latest_epoch_;
   }
 
-  // How many submits found no command awaiting a reply and rang the kick()
-  // doorbell (always 0 without one, i.e. off the simulator).
+  // How many submits rang the kick() doorbell (always 0 without one, i.e.
+  // on rt). Submits made while a ring is pending share it.
   std::uint64_t doorbells() const {
     std::lock_guard<std::mutex> lock(mu_);
     return doorbells_;
+  }
+
+  // Enqueue-to-first-send wait of every command launched so far.
+  QueueWait queue_wait() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return queue_wait_;
   }
 
   // An already-completed handle carrying `result` — what a near-cache hit
@@ -272,6 +296,7 @@ class AsyncClientEngine final : public Engine {
       }
       Pending p = pop_queued();
       send_locked(ctx, p.cmd, /*suspect=*/false);
+      note_launch_locked(p, now);
       store_sent_locked(p.cmd, std::move(p.completion), now);
     }
     // Retry stragglers individually, in submission (seq) order; rotate the
@@ -314,6 +339,7 @@ class AsyncClientEngine final : public Engine {
     Command cmd;
     std::shared_ptr<SubmitHandle::Completion> completion;
     std::uint32_t run = 0;  // nonzero: batch with same-run neighbors
+    Nanos enqueued_at = 0;  // cfg_.clock at submit
   };
 
   struct Sent {
@@ -407,7 +433,7 @@ class AsyncClientEngine final : public Engine {
     return std::make_shared<SubmitHandle::Completion>();
   }
 
-  SubmitHandle enqueue_locked(const Command& proto, std::uint32_t run) {
+  SubmitHandle enqueue_locked(const Command& proto, std::uint32_t run, Nanos now) {
     Pending p;
     p.cmd = proto;
     p.cmd.client = cfg_.base.self;
@@ -415,6 +441,7 @@ class AsyncClientEngine final : public Engine {
     unacked_.set(p.cmd.seq % kSeqWindow);
     p.completion = acquire_completion_locked();
     p.run = run;
+    p.enqueued_at = now;
     SubmitHandle handle(this, p.completion);
     push_queued(std::move(p));
     return handle;
@@ -445,6 +472,7 @@ class AsyncClientEngine final : public Engine {
     }
     for (std::int32_t i = 0; i < count; ++i) {
       Pending& p = chunk[static_cast<std::size_t>(i)];
+      note_launch_locked(p, now);
       store_sent_locked(p.cmd, std::move(p.completion), now);
     }
   }
@@ -463,17 +491,39 @@ class AsyncClientEngine final : public Engine {
     }
   }
 
-  // With no command awaiting a reply, the hosting node would only launch
-  // the queue at its next periodic tick: ring the doorbell instead, once
-  // until a tick runs. While replies are outstanding the periodic tick
-  // keeps launching, so later submits coalesce into its sends. Rung with
-  // the engine unlocked: the pump holds its own lock while it takes ours.
+  // The hosting node would only launch the queue at its next periodic
+  // tick: ring the doorbell instead, once until a tick runs, so submits
+  // made before that tick share its sends. Rung with the engine unlocked:
+  // the sim pump holds its own lock while it takes ours.
   void ring_doorbell(std::unique_lock<std::mutex>& lock) {
-    if (!cfg_.kick || sent_count_ != 0 || doorbell_rung_) return;
+    if (!cfg_.kick || doorbell_rung_) return;
     doorbell_rung_ = true;
     ++doorbells_;
     lock.unlock();
     cfg_.kick();
+  }
+
+  // Waits for room for n commands and returns the enqueue stamp. cfg_.clock
+  // runs with the engine unlocked, for the same reason as ring_doorbell (the
+  // sim clock takes the pump's lock), so the room is checked again after.
+  Nanos await_room_locked(std::unique_lock<std::mutex>& lock, std::int32_t n) {
+    const auto room = [this, n] { return room_locked() >= n; };
+    wait_locked(lock, room);
+    if (!cfg_.clock) return now_nanos();
+    lock.unlock();
+    const Nanos now = cfg_.clock();
+    lock.lock();
+    wait_locked(lock, room);
+    return now;
+  }
+
+  // The queue wait ends at the first send; a hosting clock that reads
+  // behind the submit's stamp counts as no wait.
+  void note_launch_locked(const Pending& p, Nanos now) {
+    const Nanos wait = std::max<Nanos>(0, now - p.enqueued_at);
+    ++queue_wait_.count;
+    queue_wait_.total_ns += wait;
+    queue_wait_.max_ns = std::max(queue_wait_.max_ns, wait);
   }
 
   void send_locked(Context& ctx, const Command& cmd, bool suspect) {
@@ -507,6 +557,7 @@ class AsyncClientEngine final : public Engine {
   std::uint32_t latest_epoch_ = 0;  // newest nonzero reply epoch
   bool doorbell_rung_ = false;      // kick() called, no tick since
   std::uint64_t doorbells_ = 0;
+  QueueWait queue_wait_;
 };
 
 inline bool SubmitHandle::done() const {

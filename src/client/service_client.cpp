@@ -93,6 +93,11 @@ struct ServiceClient::SimState {
     std::lock_guard<std::mutex> lock(mu);
     net->kick(node);
   }
+
+  Nanos now() {
+    std::lock_guard<std::mutex> lock(mu);
+    return net->now();
+  }
 };
 
 ServiceClient::ServiceClient(const Options& opts)
@@ -133,6 +138,12 @@ ServiceClient::ServiceClient(const Options& opts)
       if (is_sim) {
         cc.pump = [state = sim_.get()](const SubmitHandle* awaited) { state->pump(awaited); };
         cc.kick = [state = sim_.get(), node = seat.global] { state->kick(node); };
+        cc.clock = [state = sim_.get()] { return state->now(); };
+      } else if (opts_.backend == core::Backend::kNet) {
+        // The conduit's NetNode is built below; submits come only after.
+        cc.kick = [this, node = seat.global] {
+          net_nodes_[static_cast<std::size_t>(node)]->wake();
+        };
       }
       session->per_group_.push_back(std::make_unique<AsyncClientEngine>(cc));
       engines.push_back(session->per_group_.back().get());

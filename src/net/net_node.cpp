@@ -5,8 +5,10 @@
 #include <cstring>
 #include <mutex>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
 
 #include "common/check.hpp"
 
@@ -30,8 +32,10 @@ NetNode::NetNode(NodeId self, Engine* engine, const MeshConfig& cfg, IoPool* poo
                       : kLenPrefixBytes + wire::kMaxFrameBytes),
       ctx_(std::make_unique<Ctx>(this)),
       links_(static_cast<std::size_t>(cfg.total_nodes)),
-      rbuf_(kRecvBufBytes) {
+      rbuf_(kRecvBufBytes),
+      wake_fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
   CI_CHECK(self >= 0 && self < cfg.total_nodes);
+  CI_CHECK_MSG(wake_fd_.valid(), "cannot create the node's wake eventfd");
 }
 
 NetNode::~NetNode() {
@@ -43,13 +47,26 @@ void NetNode::start() {
   thread_ = std::thread([this] { thread_main(); });
 }
 
-void NetNode::request_stop() { stop_.store(true, std::memory_order_relaxed); }
+void NetNode::request_stop() {
+  stop_.store(true, std::memory_order_relaxed);
+  wake();
+}
 
 void NetNode::join() {
   if (thread_.joinable()) thread_.join();
 }
 
-void NetNode::kill() { killed_.store(true, std::memory_order_relaxed); }
+void NetNode::kill() {
+  killed_.store(true, std::memory_order_relaxed);
+  wake();
+}
+
+void NetNode::wake() {
+  // Nonblocking add to the eventfd counter: EAGAIN only at a counter of
+  // 2^64 - 2, which a pending wake already makes readable.
+  const std::uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_.fd(), &one, sizeof(one));
+}
 
 bool NetNode::bootstrap() {
   const Nanos deadline = now_nanos() + cfg_.bootstrap_deadline;
@@ -150,12 +167,15 @@ void NetNode::poll_loop() {
   engine_->start(*ctx_);
   drain_self_queue();
 
+  // pfds[0] is the wake fd, so the set is never empty: a node whose links
+  // are all dead (partitioned, or everyone else stopped) keeps ticking on
+  // the timeout, and a co-hosted client can time out gracefully.
   std::vector<pollfd> pfds;
   std::vector<NodeId> pfd_peer;
   while (!stop_.load(std::memory_order_relaxed) &&
          !killed_.load(std::memory_order_relaxed)) {
-    pfds.clear();
-    pfd_peer.clear();
+    pfds.assign(1, pollfd{wake_fd_.fd(), POLLIN, 0});
+    pfd_peer.assign(1, consensus::kNoNode);
     for (NodeId peer = 0; peer < cfg_.total_nodes; ++peer) {
       Link* l = links_[static_cast<std::size_t>(peer)].get();
       if (l == nullptr || l->dead.load(std::memory_order_relaxed)) continue;
@@ -168,14 +188,13 @@ void NetNode::poll_loop() {
       pfds.push_back(pollfd{l->sock.fd(), events, 0});
       pfd_peer.push_back(peer);
     }
-    if (pfds.empty()) {
-      // Every link is dead (we are partitioned or everyone else stopped);
-      // keep ticking so a co-hosted client can time out gracefully.
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    } else {
-      ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 1);
+    ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), 1);
+    if (pfds[0].revents & POLLIN) {
+      std::uint64_t count = 0;
+      [[maybe_unused]] const ssize_t n = ::read(wake_fd_.fd(), &count, sizeof(count));
+      wakeups_.fetch_add(1, std::memory_order_relaxed);
     }
-    for (std::size_t i = 0; i < pfds.size(); ++i) {
+    for (std::size_t i = 1; i < pfds.size(); ++i) {
       if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) recv_link(pfd_peer[i]);
     }
     maybe_stall();

@@ -13,7 +13,9 @@
 //      anyone registers, so dialing needs only bounded retry;
 //   4. switch all links nonblocking, run the engine over a poll() loop:
 //      recv -> reassemble -> decode -> on_message, tick every iteration,
-//      flush per-link send rings (unless an IoPool owns flushing).
+//      flush per-link send rings (unless an IoPool owns flushing). Besides
+//      the links, poll() watches the node's wake eventfd, so wake() from
+//      any thread ends the wait at once instead of at its 1 ms timeout.
 //
 // Send path: wire::FrameWriter encodes straight into the link's SendRing
 // (RingFrameWriter — the PR 7 zero-copy seam pointed at a socket); overflow
@@ -82,13 +84,24 @@ class NetNode {
   NetNode& operator=(const NetNode&) = delete;
 
   void start();
+  // Also wakes the poll loop, so the thread sees the flag at once.
   void request_stop();
   void join();
+
+  // Ends the node thread's current poll() wait (or the next one) so it
+  // ticks the engine now — the client doorbell for a co-hosted session.
+  // Any thread, any time while the node object lives; never blocks, and
+  // repeated wakes before the loop drains them collapse into one.
+  void wake();
+
+  // How many poll() returns found the wake fd readable.
+  std::uint64_t wakeups() const { return wakeups_.load(std::memory_order_relaxed); }
 
   // Fault injection: drop every socket and stop the node, from the peers'
   // point of view indistinguishable from the process dying. Commands the
   // node acked before the kill are already replicated (that is what an ack
-  // means), which the net fault suite asserts end to end.
+  // means), which the net fault suite asserts end to end. Wakes the poll
+  // loop like request_stop().
   void kill();
 
   // Mesh is up and the engine has started (set on the node thread).
@@ -193,12 +206,14 @@ class NetNode {
   std::unique_ptr<Ctx> ctx_;
   std::vector<std::unique_ptr<Link>> links_;  // index = peer id; self = null
   std::vector<unsigned char> rbuf_;           // recv scratch, node thread only
+  Socket wake_fd_;                            // eventfd behind wake()
   std::deque<Message> self_queue_;            // deferred self-sends (no reentrancy)
   std::function<void(NetNode&)> on_ready_;
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> killed_{false};
   std::atomic<bool> ready_{false};
+  std::atomic<std::uint64_t> wakeups_{0};
   std::atomic<std::uint32_t> slow_factor_{1};
   std::atomic<Nanos> clock_anchor_real_{0};
   std::atomic<Nanos> clock_anchor_seen_{0};

@@ -195,27 +195,70 @@ TEST(SimWake, LoneLeaseReadFinishesWithinOneTick) {
   EXPECT_EQ(lease_reads() - before, reads);
 }
 
-TEST(SimWake, SubmitWithRepliesOutstandingRingsNoDoorbell) {
+TEST(SimWake, SubmitWithRepliesOutstandingSendsAtSubmit) {
+  // Coalesced frames keep the conduit's CPU free a few us after it sends
+  // 63 commands, long before their replies are back.
+  ServiceClient::Options o = sim_opts();
+  o.spec.workload.client_coalesce = consensus::kMaxClientBatchCommands;
+  ServiceClient svc(o);
+  Session& s = svc.session(0);
+  AsyncClientEngine& eng = s.group_client(0);
+  const Nanos tick = sim_opts().spec.sim.tick_period;
+  EXPECT_EQ(eng.doorbells(), 0u);
+  std::uint64_t rings = 0;
+  std::uint64_t launched = 0;
+  std::uint64_t key = 0;
+  // Sweep the late submit across a whole tick period, so some instant falls
+  // far from the conduit's periodic tick.
+  for (Nanos gap = kMicrosecond; gap <= tick; gap += 3 * kMicrosecond) {
+    svc.sim_run_until(svc.sim_now() + gap);
+    for (std::int32_t i = 0; i + 1 < AsyncClientEngine::kMaxOutstanding; ++i) {
+      s.submit(Op::kWrite, key++, 1);
+    }
+    // Submits at one virtual instant share a single kick.
+    EXPECT_EQ(eng.doorbells(), ++rings) << "after a " << gap << " ns gap";
+    // The kicked tick sends all 63 in a few frames; no reply is back yet.
+    svc.sim_run_until(svc.sim_now() + 5 * kMicrosecond);
+    ASSERT_EQ(eng.available(), 1) << "63 commands await their replies";
+    const QueueWait before = eng.queue_wait();
+    ASSERT_EQ(before.count, launched + 63);
+    // The 64th rings again and leaves at its submit instant, not at the
+    // conduit's next periodic tick.
+    SubmitHandle late = s.submit(Op::kWrite, key++, 2);
+    EXPECT_EQ(eng.doorbells(), ++rings);
+    svc.sim_run_until(svc.sim_now() + kMicrosecond);
+    const QueueWait after = eng.queue_wait();
+    ASSERT_EQ(after.count, before.count + 1) << "the late command was sent";
+    EXPECT_EQ(after.total_ns, before.total_ns) << "after a " << gap << " ns gap";
+    EXPECT_EQ(late.wait(), 0u);
+    s.flush();
+    launched = after.count;
+  }
+  for (std::uint64_t k = 0; k < key; ++k) EXPECT_NE(s.execute(Op::kRead, k, 0), 0u);
+}
+
+// Stage 1 of the latency split (client queue/coalesce): one submit every
+// 6 us, below saturation but with several replies outstanding. Every
+// submit rings, so a command waits only while the conduit's CPU is busy;
+// with the idle-only bell it waited for the periodic tick, half a 20 us
+// period on average.
+TEST(SimWake, QueueWaitStaysBelowOneMessageCost) {
   ServiceClient svc(sim_opts());
   Session& s = svc.session(0);
   AsyncClientEngine& eng = s.group_client(0);
-  EXPECT_EQ(eng.doorbells(), 0u);
-  std::vector<SubmitHandle> handles;
-  for (std::uint64_t k = 0; k < AsyncClientEngine::kMaxOutstanding; ++k) {
-    handles.push_back(s.submit(Op::kWrite, k, k + 1));
+  constexpr std::int32_t kOps = 4000;
+  std::int32_t overlapped = 0;  // submits that found a reply outstanding
+  for (std::int32_t i = 0; i < kOps; ++i) {
+    svc.sim_run_until(svc.sim_now() + 6 * kMicrosecond);
+    if (eng.available() < AsyncClientEngine::kMaxOutstanding) ++overlapped;
+    s.submit(Op::kWrite, static_cast<std::uint64_t>(i % 500), static_cast<std::uint64_t>(i));
   }
-  // The first submit found the group idle and rang; the rest ride its kick.
-  EXPECT_EQ(eng.doorbells(), 1u);
-  EXPECT_EQ(eng.available(), 0);
-  // Waits for room while all 64 await replies, then enters beside the ones
-  // still outstanding: the periodic tick launches it, no bell.
-  handles.push_back(s.submit(Op::kWrite, 100, 1));
-  EXPECT_GT(AsyncClientEngine::kMaxOutstanding - eng.available(), 1);
-  EXPECT_EQ(eng.doorbells(), 1u);
   s.flush();
-  for (std::uint64_t k = 0; k < AsyncClientEngine::kMaxOutstanding; ++k) {
-    EXPECT_EQ(s.execute(Op::kRead, k, 0), k + 1);
-  }
+  const QueueWait w = eng.queue_wait();
+  ASSERT_EQ(w.count, static_cast<std::uint64_t>(kOps));
+  EXPECT_GT(overlapped, kOps / 2) << "the stream must overlap replies";
+  EXPECT_LT(w.total_ns / static_cast<Nanos>(w.count), kMicrosecond)
+      << "max " << w.max_ns << " ns";
 }
 
 }  // namespace
