@@ -4,10 +4,12 @@
 // Batching changes the unit of agreement from one client command to an
 // ordered run of commands (a Batch): the leader packs pending requests into
 // one instance, acceptors accept / learn the run as a single value, and the
-// execution path fans the run back out — every command is applied, delivered
-// and acked individually, in batch order. This amortizes the per-message
-// leader cost that dominates throughput on a many-core (paper §3: cores
-// process events serially, so saturation emerges from message counts).
+// execution path fans the run back out — every command is applied and
+// delivered individually, in batch order, and each client gets one reply
+// frame for all its commands in the instance (applier.hpp). This
+// amortizes the per-message leader cost that dominates throughput on a
+// many-core (paper §3: cores process events serially, so saturation
+// emerges from message counts).
 //
 // The degenerate policy (max_commands == 1, the default) produces only
 // single-command batches, which travel in the exact legacy wire frames —
@@ -72,7 +74,7 @@ struct BatchPolicy {
   static constexpr std::int64_t kAdaptiveHoldGaps = 8;
   static constexpr Nanos kAdaptiveDefaultHold = 200 * kMicrosecond;
 
-  bool batching() const { return max_commands > 1; }
+  constexpr bool batching() const { return max_commands > 1; }
 
   bool adaptive() const { return flush_mode == FlushMode::kAdaptive; }
 
@@ -85,7 +87,7 @@ struct BatchPolicy {
 
   // Commands per batch after every cap (max_commands, the byte budget, the
   // compile-time ceiling); never below 1.
-  std::int32_t commands_cap() const {
+  constexpr std::int32_t commands_cap() const {
     std::int32_t cap = std::min(max_commands, kMaxCommandsPerBatch);
     cap = std::min(cap, max_bytes / static_cast<std::int32_t>(sizeof(Command)));
     return std::max(cap, 1);

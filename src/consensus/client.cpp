@@ -195,6 +195,9 @@ void ClientEngine::on_message(Context& ctx, const Message& m) {
       round_done_.clear();
       round_open_ = 0;
       return;
+    case MsgType::kClientReplyBatch:
+      for_each_reply(m, [&](const Message& each) { on_message(ctx, each); });
+      return;
     case MsgType::kClientReply: {
       if (cfg_.coalesce > 1) {
         on_round_reply(ctx, m);

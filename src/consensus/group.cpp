@@ -91,8 +91,9 @@ void GroupDemuxEngine::on_message(Context& ctx, const Message& m) {
   if (m.type == MsgType::kClientCmdBatch) {
     // A client-side command run: decompose into ordinary kClientRequest
     // deliveries so the hosted engine — whichever protocol it speaks —
-    // handles each command exactly as if it had arrived alone. Replies are
-    // per-command through the usual path. The run is inline by construction
+    // handles each command exactly as if it had arrived alone. The replies
+    // come back one frame per client per decided instance, whichever frames
+    // the commands arrived in. The run is inline by construction
     // (kMaxClientBatchCommands <= kInlineBatchCommands), so no pool custody
     // changes hands here; the transport's post-delivery release is a no-op.
     const std::int32_t count = m.u.client_cmd_batch.count;
@@ -105,6 +106,16 @@ void GroupDemuxEngine::on_message(Context& ctx, const Message& m) {
       each.u.client_request.cmd = cmds[i];
       p->engine->on_message(gctx, each);
     }
+    return;
+  }
+  if (m.type == MsgType::kClientReplyBatch) {
+    // The replies of one decided instance to this node: split back into
+    // kClientReply deliveries, so client engines see one reply per command.
+    for_each_reply(m, [&](Message& each) {
+      each.src = lsrc;
+      each.dst = p->local_self;
+      p->engine->on_message(gctx, each);
+    });
     return;
   }
   if (lsrc == m.src && m.dst == p->local_self) {

@@ -107,6 +107,9 @@ std::size_t payload_bytes(const Message& m) {
       return batch_bytes(m.u.opx_learn_run);
     case MsgType::kLeaseGrant:
       return sizeof(LeaseGrant);
+    case MsgType::kClientReplyBatch:
+      return offsetof(ClientReplyBatch, entries) +
+             static_cast<std::size_t>(m.u.client_reply_batch.count) * sizeof(ReplyEntry);
   }
   return sizeof(Message::Payload);  // unknown: be conservative
 }
@@ -156,6 +159,7 @@ bool known_type(MsgType t) {
     case MsgType::kClientCmdBatch:
     case MsgType::kOpxLearnRun:
     case MsgType::kLeaseGrant:
+    case MsgType::kClientReplyBatch:
       return true;
   }
   return false;
@@ -238,6 +242,11 @@ bool wire_validate(const Message& m, std::size_t bytes) {
           m.u.opx_learn_run.count > kMaxLearnRunCommands) {
         return false;
       }
+      break;
+    case MsgType::kClientReplyBatch:
+      // Singles use the legacy kClientReply; a count outside [2, 64] would
+      // also make wire_size() read past the entry array.
+      if (!batch_count_ok(m.u.client_reply_batch.count)) return false;
       break;
     default:
       break;

@@ -109,8 +109,9 @@ enum class MsgType : std::uint8_t {
   // carrying a run of 1..kInlineBatchCommands commands from one client to
   // one group's replica. The GroupDemuxEngine on the receiving node
   // decomposes the run into ordinary kClientRequest deliveries, so every
-  // protocol engine handles the commands without knowing the frame exists;
-  // replies stay per-command. Coalescing senders still emit single-command
+  // protocol engine handles the commands without knowing the frame exists.
+  // The replies come back batched by decided instance (kClientReplyBatch),
+  // not by request frame. Coalescing senders still emit single-command
   // submissions as legacy kClientRequest frames, so unbatched wire traffic
   // is unchanged (count == 1 is merely tolerated on decode).
   kClientCmdBatch,
@@ -129,8 +130,21 @@ enum class MsgType : std::uint8_t {
   // leader can bound each grant by its OWN send time (no cross-node clock
   // is ever compared). Leases exist only when EngineConfig::lease_duration
   // > 0 — heartbeats then carry a nonzero lease_seq — so default
-  // deployments emit no grants and their wire traffic is unchanged.
+  // deployments emit no grants.
+  //
+  // The grant also carries the follower's applied prefix, which the leader
+  // folds into the group's trim floor (ReplicatedLog::trim). With leases
+  // off a follower still answers each heartbeat with a grant frame whose
+  // lease_seq is 0: a report only, no promise.
   kLeaseGrant,
+
+  // The replies of one decided instance to one client: count (>= 2)
+  // entries, one per command, each with its own result and near-cache
+  // epoch. A client with a single command in the instance gets the legacy
+  // kClientReply, so unbatched wire traffic is unchanged. The
+  // GroupDemuxEngine on the receiving node splits the frame back into
+  // kClientReply deliveries (for_each_reply), as it splits kClientCmdBatch.
+  kClientReplyBatch,
 };
 
 // Message::flags bits.
@@ -163,6 +177,25 @@ struct ClientReply {
 static_assert(sizeof(ClientReply) == 32 && offsetof(ClientReply, lease_epoch) == 28,
               "lease_epoch must occupy ClientReply's former trailing padding");
 
+// One command's answer inside a kClientReplyBatch: what a kClientReply says
+// about it, less what the frame header shares (instance, leader hint). The
+// epoch stays per command: a read and a later write in one instance answer
+// with different epochs, and the near-cache depends on telling them apart.
+struct ReplyEntry {
+  std::uint32_t seq = 0;
+  std::uint32_t lease_epoch = 0;
+  std::uint64_t result = 0;
+};
+static_assert(sizeof(ReplyEntry) == 16);
+
+struct ClientReplyBatch {
+  Instance instance = kNoInstance;  // the decided instance every entry came from
+  NodeId leader_hint = kNoNode;
+  std::int32_t count = 0;
+  ReplyEntry entries[kMaxCommandsPerBatch];  // entries [0, count) travel
+};
+static_assert(offsetof(ClientReplyBatch, entries) == 16);
+
 struct TwoPcPrepare {
   Instance instance = kNoInstance;
   Command cmd;
@@ -180,6 +213,10 @@ struct Heartbeat {
   std::uint32_t lease_seq = 0;
   Instance committed = kNoInstance;  // leader's contiguous commit prefix
   ProposalNum ballot;                // resolves dueling leaders by comparison
+  // The lowest applied prefix any replica has reported (leader included):
+  // no replica will ever need a decided body below it again, so receivers
+  // may drop theirs (ReplicatedLog::trim). 0 = nothing known yet.
+  Instance trim_floor = 0;
 };
 static_assert(offsetof(Heartbeat, committed) == 8,
               "lease_seq must occupy Heartbeat's former padding, not shift fields");
@@ -191,8 +228,9 @@ static_assert(offsetof(Heartbeat, committed) == 8,
 // clock skew (DESIGN.md §1f).
 struct LeaseGrant {
   NodeId grantor = kNoNode;
-  std::uint32_t lease_seq = 0;  // echo of Heartbeat::lease_seq
+  std::uint32_t lease_seq = 0;  // echo of Heartbeat::lease_seq; 0 = report only
   ProposalNum ballot;           // the leadership regime the grant supports
+  Instance applied = 0;         // the grantor's applied prefix (trim floor input)
 };
 
 struct Phase1Req {
@@ -550,6 +588,7 @@ struct Message {
     OpxWindowFetchReq opx_window_fetch_req;
     ClientCmdBatch client_cmd_batch;
     OpxLearnRun opx_learn_run;
+    ClientReplyBatch client_reply_batch;
 
     // All members are trivially copyable PODs; zero-fill so serialized
     // padding bytes are deterministic.
@@ -596,6 +635,27 @@ inline constexpr std::size_t kMessageBudgetBytes = 1536;
 static_assert(sizeof(Message) <= kMessageBudgetBytes,
               "sizeof(Message) exceeds its budget: move payload out of line "
               "instead of growing the union");
+
+// Calls f(reply) once per entry of a kClientReplyBatch with the kClientReply
+// the entry stands for, in entry order — header fields (src, dst, group,
+// flags, instance, leader hint) copied from the batch. f may retarget the
+// reply (src/dst) before passing it on.
+template <typename F>
+void for_each_reply(const Message& batch, F&& f) {
+  const ClientReplyBatch& b = batch.u.client_reply_batch;
+  Message each(MsgType::kClientReply, batch.proto, batch.src, batch.dst);
+  each.flags = batch.flags;
+  each.group = batch.group;
+  each.u.client_reply.ok = 1;  // batches carry decided commands only
+  each.u.client_reply.instance = b.instance;
+  each.u.client_reply.leader_hint = b.leader_hint;
+  for (std::int32_t i = 0; i < b.count; ++i) {
+    each.u.client_reply.seq = b.entries[i].seq;
+    each.u.client_reply.lease_epoch = b.entries[i].lease_epoch;
+    each.u.client_reply.result = b.entries[i].result;
+    f(each);
+  }
+}
 
 // Encoded frame size of a message (header + compact payload). Variable-
 // length payloads — proposal arrays, command runs — are truncated to their

@@ -4,17 +4,9 @@
 
 namespace ci::consensus {
 
-namespace {
-
-std::uint64_t client_key(const Command& cmd) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cmd.client)) << 32) | cmd.seq;
-}
-
-}  // namespace
-
 MultiPaxosEngine::MultiPaxosEngine(const MultiPaxosConfig& cfg)
     : cfg_(cfg),
-      executor_(cfg.base.state_machine),
+      applier_(cfg.base.state_machine),
       rng_(cfg.base.seed + static_cast<std::uint64_t>(cfg.base.self) * 7919),
       pending_(cfg.base.batch) {
   if (cfg_.initial_leader != kNoNode) {
@@ -107,6 +99,9 @@ void MultiPaxosEngine::tick(Context& ctx) {
       // followers echo lease_seq in kLeaseGrant and the ledger bounds each
       // grant by this send time (lease.hpp).
       const std::uint32_t lease_seq = lease_.enabled() ? lease_.open_round(now) : 0;
+      const Instance trim_floor =
+          frontier_.floor(cfg_.base.num_replicas, cfg_.base.self, log_.executed_prefix());
+      log_.trim(trim_floor);
       for (NodeId r = 0; r < cfg_.base.num_replicas; ++r) {
         if (r == cfg_.base.self) continue;
         Message hb(MsgType::kHeartbeat, ProtoId::kMultiPaxos, cfg_.base.self, r);
@@ -114,6 +109,7 @@ void MultiPaxosEngine::tick(Context& ctx) {
         hb.u.heartbeat.lease_seq = lease_seq;
         hb.u.heartbeat.committed = log_.first_gap();
         hb.u.heartbeat.ballot = my_ballot_;
+        hb.u.heartbeat.trim_floor = trim_floor;
         ctx.send(r, hb);
       }
     }
@@ -194,7 +190,7 @@ bool MultiPaxosEngine::try_lease_read(Context& ctx, const Command& cmd) {
       : cmd.op == Op::kRead ? sm->read(cmd.key)
                             : sm->versioned_read(cmd.key);
   reply.u.client_reply.leader_hint = cfg_.base.self;
-  reply.u.client_reply.lease_epoch = write_epoch_;
+  reply.u.client_reply.lease_epoch = applier_.write_epoch();
   ctx.send(cmd.client, reply);
   ++lease_reads_;
   return true;
@@ -207,9 +203,7 @@ void MultiPaxosEngine::pump(Context& ctx) {
     while (log_.is_learned(in) || outstanding_.count(in) != 0) in++;
     next_instance_ = in + 1;
     const Batch value = pending_.take();
-    for (const Command& cmd : value) {
-      if (cmd.client != kNoNode) advocated_.insert(client_key(cmd));
-    }
+    for (const Command& cmd : value) applier_.advocate(cmd);
     outstanding_[in] = Outstanding{value, ctx.now()};
     send_accept(ctx, in, value);
   }
@@ -419,8 +413,12 @@ void MultiPaxosEngine::handle_phase2_req(Context& ctx, Instance in, ProposalNum 
                                          const Batch& value, NodeId src) {
   if (log_.is_learned(in)) {
     // Already decided: remind only the retrying proposer (a decided
-    // catch-up carries no ballot, matching the pre-batching frame).
-    send_acked(ctx, src, in, ProposalNum{}, *log_.get_batch(in), /*decided=*/true);
+    // catch-up carries no ballot, matching the pre-batching frame). A
+    // trimmed instance needs no reminder: every replica applied it, the
+    // proposer included — this retry is a stale one.
+    if (!log_.is_trimmed(in)) {
+      send_acked(ctx, src, in, ProposalNum{}, *log_.get_batch(in), /*decided=*/true);
+    }
     return;
   }
   if (pn >= promised_) {
@@ -480,22 +478,29 @@ void MultiPaxosEngine::handle_heartbeat(Context& ctx, const Message& m) {
   current_leader_ = hb_leader;
   last_leader_contact_ = ctx.now();
   takeover_.reset();
-  // Lease renewal: grant (or re-grant) to the sender, unless we already
-  // promised a HIGHER ballot to someone else — supporting a deposed regime
-  // would let two leaders hold "majorities" built from disjoint eras.
+  log_.trim(m.u.heartbeat.trim_floor);
+  // Every heartbeat is answered with our applied prefix (the leader's trim
+  // floor input). The answer is also a lease renewal — unless leases are
+  // off, or we already promised a HIGHER ballot to someone else:
+  // supporting a deposed regime would let two leaders hold "majorities"
+  // built from disjoint eras. Then it is a report only (lease_seq 0).
+  Message g(MsgType::kLeaseGrant, ProtoId::kMultiPaxos, cfg_.base.self, hb_leader);
+  g.u.lease_grant.grantor = cfg_.base.self;
+  g.u.lease_grant.ballot = m.u.heartbeat.ballot;
+  g.u.lease_grant.applied = log_.executed_prefix();
   if (cfg_.base.lease_duration > 0 && m.u.heartbeat.lease_seq != 0 &&
       !(promised_ > m.u.heartbeat.ballot)) {
     granted_.grant(hb_leader, ctx.now(), cfg_.base.lease_duration);
-    Message g(MsgType::kLeaseGrant, ProtoId::kMultiPaxos, cfg_.base.self, hb_leader);
-    g.u.lease_grant.grantor = cfg_.base.self;
     g.u.lease_grant.lease_seq = m.u.heartbeat.lease_seq;
-    g.u.lease_grant.ballot = m.u.heartbeat.ballot;
-    ctx.send(hb_leader, g);
   }
+  ctx.send(hb_leader, g);
   forward_pending(ctx);
 }
 
 void MultiPaxosEngine::handle_lease_grant(const Message& m) {
+  // The applied report holds whatever regime the grant supports.
+  if (is_replica(cfg_.base, m.src)) frontier_.report(m.src, m.u.lease_grant.applied);
+  if (m.u.lease_grant.lease_seq == 0) return;  // report only
   if (!leader_ || !(m.u.lease_grant.ballot == my_ballot_)) return;
   if (!is_acceptor(m.src)) return;  // only the electorate's grants count
   lease_.on_grant(m.src, m.u.lease_grant.lease_seq);
@@ -506,30 +511,7 @@ void MultiPaxosEngine::learn(Context& ctx, Instance in, const Batch& value) {
   accepted_.erase(in);
   learners_.erase(in);
   outstanding_.erase(in);
-  log_.drain([&](Instance din, const Command& dcmd) {
-    const Executor::Applied applied = executor_.apply(dcmd);
-    // Advance the near-cache epoch on every applied mutation (txn ops lock
-    // and stage, so they count too). Deterministic across replicas: it is a
-    // pure function of the applied log prefix. Skips 0 on wrap (0 = "epoch
-    // not reported" to clients).
-    if (!applied.duplicate && !dcmd.is_noop() && dcmd.op != Op::kRead &&
-        dcmd.op != Op::kReadVersioned) {
-      if (++write_epoch_ == 0) ++write_epoch_;
-    }
-    ctx.deliver(din, dcmd);
-    auto adv = advocated_.find(client_key(dcmd));
-    if (adv != advocated_.end()) {
-      Message reply(MsgType::kClientReply, ProtoId::kClient, cfg_.base.self, dcmd.client);
-      reply.u.client_reply.seq = dcmd.seq;
-      reply.u.client_reply.ok = 1;
-      reply.u.client_reply.instance = din;
-      reply.u.client_reply.result = applied.result;
-      reply.u.client_reply.leader_hint = leader_ ? cfg_.base.self : current_leader_;
-      reply.u.client_reply.lease_epoch = write_epoch_;
-      ctx.send(dcmd.client, reply);
-      advocated_.erase(adv);
-    }
-  });
+  applier_.drain(ctx, log_, leader_ ? cfg_.base.self : current_leader_);
   if (leader_) pump(ctx);
 }
 

@@ -16,17 +16,22 @@
 // With a batching policy (EngineConfig::batch) the leader packs pending
 // client commands into multi-command instances: one accept / one acceptance
 // broadcast decides a whole run, and the execution path fans it back out
-// with one ack per command. Takeovers recover batched values through
-// kPhase1BatchResp sidecars counted by the main response.
+// with one reply frame per client per instance (Applier). Takeovers
+// recover batched values through kPhase1BatchResp sidecars counted by the
+// main response.
+//
+// The leader's heartbeats carry the group's trim floor and every replica
+// drops the decided bodies below it (ReplicatedLog::trim); followers
+// report their applied prefix on each heartbeat answer.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/rng.hpp"
+#include "consensus/applier.hpp"
 #include "consensus/engine.hpp"
 #include "consensus/lease.hpp"
 #include "consensus/log.hpp"
@@ -63,7 +68,7 @@ class MultiPaxosEngine final : public Engine {
     return leader_ && lease_.held(now, acceptor_count(), is_acceptor(cfg_.base.self)) &&
            log_.first_gap() >= read_floor_;
   }
-  std::uint32_t write_epoch() const { return write_epoch_; }
+  std::uint32_t write_epoch() const { return applier_.write_epoch(); }
   std::uint64_t lease_reads() const { return lease_reads_; }
 
  private:
@@ -125,7 +130,8 @@ class MultiPaxosEngine final : public Engine {
 
   MultiPaxosConfig cfg_;
   ReplicatedLog log_;
-  Executor executor_;
+  Applier applier_;
+  AppliedFrontier frontier_;  // leader side: followers' applied prefixes
   Rng rng_;
 
   // Leadership.
@@ -146,7 +152,6 @@ class MultiPaxosEngine final : public Engine {
   Batcher pending_;
   std::map<Instance, Outstanding> outstanding_;
   Instance next_instance_ = 0;
-  std::unordered_set<std::uint64_t> advocated_;
 
   // Reused single-command wrapper for the legacy-frame dispatch path, so
   // the unbatched regime stays allocation-free per message (the vector's
@@ -166,13 +171,6 @@ class MultiPaxosEngine final : public Engine {
   // regime may have decided is applied here: set to max_recovered + 1 at
   // takeover (0 for a pre-agreed initial leader — nothing precedes it).
   Instance read_floor_ = 0;
-  // Counts applied state-mutating commands; stamped into every ClientReply
-  // as the near-cache epoch. Deterministic across replicas (derived from the
-  // applied log prefix). Starts at 1 — epoch 0 means "not reported". On u32
-  // wrap it skips 0; a client whose cached entry survives a full 4B-write
-  // wrap could see a false hit, which at any realistic rate needs a session
-  // idle for hours against a saturated group (documented, accepted).
-  std::uint32_t write_epoch_ = 1;
   std::uint64_t lease_reads_ = 0;  // fast-path reads served (introspection)
 };
 

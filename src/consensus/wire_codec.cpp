@@ -154,19 +154,4 @@ void release_body(const Message& m) {
   }
 }
 
-std::uint32_t max_frame_bytes(const consensus::BatchPolicy& policy) {
-  const std::size_t batch_frame =
-      kMessageHeaderBytes + kMaxBatchFixedBytes +
-      static_cast<std::size_t>(policy.commands_cap()) * sizeof(Command);
-  const std::size_t entry_frame = kMessageHeaderBytes +
-                                  offsetof(consensus::UtilPhase1Resp, accepted) +
-                                  sizeof(consensus::UtilityEntry);
-  // Catch-up learn runs are policy-independent: even a batch=1 deployment
-  // can coalesce up to kMaxLearnRunCommands decided singles in one frame.
-  const std::size_t learn_run_frame =
-      kMessageHeaderBytes + offsetof(consensus::OpxLearnRun, run) +
-      static_cast<std::size_t>(consensus::kMaxLearnRunCommands) * sizeof(Command);
-  return static_cast<std::uint32_t>(std::max({batch_frame, entry_frame, learn_run_frame}));
-}
-
 }  // namespace ci::wire

@@ -136,9 +136,27 @@ bool try_decode(const unsigned char* buf, std::size_t n, consensus::Message* out
 void release_body(const consensus::Message& m);
 
 // Largest frame a deployment with this batch policy can put on the wire:
-// a commands_cap()-sized batched frame or a reconfiguration entry frame,
-// whichever is bigger. rt queue/stack sizing uses this instead of
-// sizeof(Message).
-std::uint32_t max_frame_bytes(const consensus::BatchPolicy& policy);
+// a commands_cap()-sized batched frame, a reconfiguration entry frame, a
+// catch-up learn run or a full reply batch, whichever is bigger. rt
+// queue/stack sizing uses this instead of sizeof(Message).
+constexpr std::uint32_t max_frame_bytes(const consensus::BatchPolicy& policy) {
+  const std::size_t batch_frame =
+      consensus::kMessageHeaderBytes + kMaxBatchFixedBytes +
+      static_cast<std::size_t>(policy.commands_cap()) * sizeof(consensus::Command);
+  const std::size_t entry_frame = consensus::kMessageHeaderBytes +
+                                  offsetof(consensus::UtilPhase1Resp, accepted) +
+                                  sizeof(consensus::UtilityEntry);
+  // Catch-up learn runs are policy-independent: even a batch=1 deployment
+  // can coalesce up to kMaxLearnRunCommands decided singles in one frame.
+  const std::size_t learn_run_frame =
+      consensus::kMessageHeaderBytes + offsetof(consensus::OpxLearnRun, run) +
+      static_cast<std::size_t>(consensus::kMaxLearnRunCommands) * sizeof(consensus::Command);
+  // A reply batch holds at most one decided instance's commands, but the
+  // bound is taken at the full 64 entries so it never depends on the policy.
+  const std::size_t reply_batch_frame =
+      consensus::kMessageHeaderBytes + sizeof(consensus::ClientReplyBatch);
+  return static_cast<std::uint32_t>(
+      std::max({batch_frame, entry_frame, learn_run_frame, reply_batch_frame}));
+}
 
 }  // namespace ci::wire

@@ -7,17 +7,9 @@
 
 namespace ci::core {
 
-namespace {
-
-std::uint64_t client_key(const Command& cmd) {
-  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cmd.client)) << 32) | cmd.seq;
-}
-
-}  // namespace
-
 OnePaxosEngine::OnePaxosEngine(const OnePaxosConfig& cfg)
     : cfg_(cfg),
-      executor_(cfg.base.state_machine),
+      applier_(cfg.base.state_machine),
       rng_(cfg.base.seed + static_cast<std::uint64_t>(cfg.base.self) * 6700417),
       utility_(cfg.base, [this](Context& ctx, Instance idx, const UtilityEntry& e) {
         on_utility_decided(ctx, idx, e);
@@ -163,17 +155,21 @@ void OnePaxosEngine::on_message(Context& ctx, const Message& m) {
         leader_committed_seen_ = std::max(leader_committed_seen_, m.u.heartbeat.committed);
         leader_progress_at_ = ctx.now();
       }
-      // Lease renewal: grant to the sender unless we already follow a NEWER
-      // view (guarded above: epoch >= current_leader_epoch_ here).
+      log_.trim(m.u.heartbeat.trim_floor);
+      // Every heartbeat is answered with our applied prefix (the leader's
+      // trim floor input); with leases on the answer is also a renewal:
+      // grant to the sender, since we do not follow a NEWER view (guarded
+      // above: epoch >= current_leader_epoch_ here).
+      Message g(MsgType::kLeaseGrant, ProtoId::kOnePaxos, cfg_.base.self,
+                m.u.heartbeat.leader);
+      g.u.lease_grant.grantor = cfg_.base.self;
+      g.u.lease_grant.ballot = m.u.heartbeat.ballot;
+      g.u.lease_grant.applied = log_.executed_prefix();
       if (cfg_.base.lease_duration > 0 && m.u.heartbeat.lease_seq != 0) {
         granted_.grant(m.u.heartbeat.leader, ctx.now(), cfg_.base.lease_duration);
-        Message g(MsgType::kLeaseGrant, ProtoId::kOnePaxos, cfg_.base.self,
-                  m.u.heartbeat.leader);
-        g.u.lease_grant.grantor = cfg_.base.self;
         g.u.lease_grant.lease_seq = m.u.heartbeat.lease_seq;
-        g.u.lease_grant.ballot = m.u.heartbeat.ballot;
-        ctx.send(m.u.heartbeat.leader, g);
       }
+      ctx.send(m.u.heartbeat.leader, g);
       if (m.u.heartbeat.committed > log_.first_gap() &&
           ctx.now() - last_catchup_sent_ >= cfg_.base.retry_timeout) {
         // The leader has decided instances we miss (lost learns): ask for a
@@ -200,6 +196,9 @@ void OnePaxosEngine::on_message(Context& ctx, const Message& m) {
         run.clear();
       };
       for (Instance in = from; in < to; ++in) {
+        // A trimmed instance is applied everywhere, the asker included:
+        // the request is older than the asker's own progress.
+        if (log_.is_trimmed(in)) continue;
         const Batch* v = log_.get_batch(in);
         if (v == nullptr || v->size() != 1) {
           flush_run();
@@ -288,7 +287,7 @@ bool OnePaxosEngine::try_lease_read(Context& ctx, const Command& cmd) {
       : cmd.op == Op::kRead ? sm->read(cmd.key)
                             : sm->versioned_read(cmd.key);
   reply.u.client_reply.leader_hint = cfg_.base.self;
-  reply.u.client_reply.lease_epoch = write_epoch_;
+  reply.u.client_reply.lease_epoch = applier_.write_epoch();
   ctx.send(cmd.client, reply);
   ++lease_reads_;
   return true;
@@ -298,6 +297,9 @@ bool OnePaxosEngine::try_lease_read(Context& ctx, const Command& cmd) {
 // a regime we no longer run (reset() on relinquish also guarantees stale
 // echoes find no recorded send time).
 void OnePaxosEngine::handle_lease_grant(const Message& m) {
+  // The applied report holds whatever view the grant supports.
+  if (is_replica(cfg_.base, m.src)) frontier_.report(m.src, m.u.lease_grant.applied);
+  if (m.u.lease_grant.lease_seq == 0) return;  // report only
   if (m.u.lease_grant.ballot.node != cfg_.base.self ||
       m.u.lease_grant.ballot.counter != current_leader_epoch_) {
     return;
@@ -326,9 +328,7 @@ void OnePaxosEngine::pump(Context& ctx) {
     while (log_.is_learned(in) || proposed_.count(in) != 0) in++;
     next_instance_ = in + 1;
     const Batch value = pending_.take();
-    for (const Command& cmd : value) {
-      if (cmd.client != kNoNode) advocated_.insert(client_key(cmd));
-    }
+    for (const Command& cmd : value) applier_.advocate(cmd);
     proposed_[in] = value;  // getAny: remember what we advocate for `in`
     send_accept(ctx, in);
   }
@@ -395,8 +395,10 @@ void OnePaxosEngine::handle_accept_req(Context& ctx, Instance in, ProposalNum pn
     return;
   }
   if (log_.is_learned(in)) {
-    // Already decided and pruned from ap: remind only the retrying leader.
-    send_learn(ctx, src, in, *log_.get_batch(in));
+    // Already decided and pruned from ap: remind only the retrying leader
+    // (unless trimmed: then every replica applied it, the leader too, and
+    // this retry is a stale one).
+    if (!log_.is_trimmed(in)) send_learn(ctx, src, in, *log_.get_batch(in));
     return;
   }
   auto it = ap_.find(in);
@@ -441,29 +443,7 @@ void OnePaxosEngine::learn(Context& ctx, Instance in, const Batch& v) {
     }
     proposed_.erase(it);
   }
-  log_.drain([&](Instance din, const Command& dcmd) {
-    const Executor::Applied applied = executor_.apply(dcmd);
-    // Advance the near-cache epoch on every applied mutation (deterministic
-    // across replicas: a function of the applied log prefix; skips 0 on
-    // wrap, 0 meaning "epoch not reported").
-    if (!applied.duplicate && !dcmd.is_noop() && dcmd.op != Op::kRead &&
-        dcmd.op != Op::kReadVersioned) {
-      if (++write_epoch_ == 0) ++write_epoch_;
-    }
-    ctx.deliver(din, dcmd);
-    auto adv = advocated_.find(client_key(dcmd));
-    if (adv != advocated_.end()) {
-      Message reply(MsgType::kClientReply, ProtoId::kClient, cfg_.base.self, dcmd.client);
-      reply.u.client_reply.seq = dcmd.seq;
-      reply.u.client_reply.ok = 1;
-      reply.u.client_reply.instance = din;
-      reply.u.client_reply.result = applied.result;
-      reply.u.client_reply.leader_hint = i_am_leader_ ? cfg_.base.self : current_leader_;
-      reply.u.client_reply.lease_epoch = write_epoch_;
-      ctx.send(dcmd.client, reply);
-      advocated_.erase(adv);
-    }
-  });
+  applier_.drain(ctx, log_, i_am_leader_ ? cfg_.base.self : current_leader_);
   if (i_am_leader_) pump(ctx);
 }
 
@@ -737,8 +717,9 @@ void OnePaxosEngine::handle_window_fetch(Context& ctx, const Message& m) {
   const std::uint64_t digest = m.u.opx_window_fetch_req.digest;
   if (log_.is_learned(in)) {
     // Decided since: the learn supersedes the body (the fetcher will skip
-    // the ref once it sees the instance decided).
-    send_learn(ctx, m.src, in, *log_.get_batch(in));
+    // the ref once it sees the instance decided). A trimmed instance the
+    // fetcher has applied already.
+    if (!log_.is_trimmed(in)) send_learn(ctx, m.src, in, *log_.get_batch(in));
     return;
   }
   const Batch* body = find_window_body(in, digest);
@@ -992,6 +973,9 @@ void OnePaxosEngine::tick(Context& ctx) {
     // establishing leader renews too — grants shield its recovery from
     // impatient takeovers just as they shield its reads later).
     const std::uint32_t lease_seq = lease_.enabled() ? lease_.open_round(now) : 0;
+    const Instance trim_floor =
+        frontier_.floor(cfg_.base.num_replicas, cfg_.base.self, log_.executed_prefix());
+    log_.trim(trim_floor);
     for (NodeId r = 0; r < cfg_.base.num_replicas; ++r) {
       if (r == cfg_.base.self) continue;
       Message hb(MsgType::kHeartbeat, ProtoId::kOnePaxos, cfg_.base.self, r);
@@ -1001,6 +985,7 @@ void OnePaxosEngine::tick(Context& ctx) {
       hb.u.heartbeat.committed = log_.first_gap();
       hb.u.heartbeat.ballot.counter = current_leader_epoch_;  // view version
       hb.u.heartbeat.ballot.node = cfg_.base.self;
+      hb.u.heartbeat.trim_floor = trim_floor;
       ctx.send(r, hb);
     }
   }

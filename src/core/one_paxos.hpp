@@ -34,11 +34,11 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "consensus/applier.hpp"
 #include "consensus/engine.hpp"
 #include "consensus/lease.hpp"
 #include "consensus/log.hpp"
@@ -82,7 +82,7 @@ class OnePaxosEngine final : public Engine {
     return i_am_leader_ && lease_.held(now, cfg_.base.num_replicas, /*self_votes=*/true) &&
            log_.first_gap() >= read_floor_;
   }
-  std::uint32_t write_epoch() const { return write_epoch_; }
+  std::uint32_t write_epoch() const { return applier_.write_epoch(); }
   std::uint64_t lease_reads() const { return lease_reads_; }
 
  private:
@@ -139,7 +139,8 @@ class OnePaxosEngine final : public Engine {
 
   OnePaxosConfig cfg_;
   ReplicatedLog log_;
-  Executor executor_;
+  Applier applier_;
+  AppliedFrontier frontier_;  // leader side: followers' applied prefixes
   Rng rng_;
   PaxosUtility utility_;
 
@@ -151,7 +152,6 @@ class OnePaxosEngine final : public Engine {
   std::map<Instance, Batch> proposed_;    // proposed[], uncommitted only
   std::map<Instance, AcceptTimes> accept_times_;
   Batcher pending_;
-  std::unordered_set<std::uint64_t> advocated_;
   Instance next_instance_ = 0;
   // Reused single-command wrapper for the legacy-frame dispatch path, so
   // the unbatched regime stays allocation-free per message (handlers copy
@@ -264,11 +264,6 @@ class OnePaxosEngine final : public Engine {
   // acceptor's frontier, which bounds every instance the previous regime
   // could have decided (and so could have exposed to its own lease readers).
   Instance read_floor_ = 0;
-  // Applied-mutation counter, stamped into ClientReply::lease_epoch as the
-  // session near-cache epoch. Deterministic across replicas (a function of
-  // the applied log prefix); starts at 1 (0 = "not reported"), skips 0 on
-  // u32 wrap.
-  std::uint32_t write_epoch_ = 1;
   std::uint64_t lease_reads_ = 0;  // fast-path reads served (introspection)
 };
 

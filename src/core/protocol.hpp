@@ -47,6 +47,7 @@ class JointEngine final : public Engine {
   void on_message(Context& ctx, const Message& m) override {
     switch (m.type) {
       case MsgType::kClientReply:
+      case MsgType::kClientReplyBatch:
       case MsgType::kStart:
       case MsgType::kStop:
         client_->on_message(ctx, m);

@@ -68,6 +68,9 @@ class NetCluster {
 
   void tick_faults() { apply_faults(now_nanos() - started_at_); }
 
+  // The transport node `node` (fault injection and counters).
+  NetNode& node(consensus::NodeId node) { return *nodes_.at(static_cast<std::size_t>(node)); }
+
   // The canonical poll loop: ticks faults until `wall_deadline` (absolute
   // now_nanos() time) or until every client finished its quota.
   void drive_until(Nanos wall_deadline);

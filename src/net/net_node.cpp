@@ -193,6 +193,7 @@ void NetNode::poll_loop() {
       std::uint64_t count = 0;
       [[maybe_unused]] const ssize_t n = ::read(wake_fd_.fd(), &count, sizeof(count));
       wakeups_.fetch_add(1, std::memory_order_relaxed);
+      write_injected();
     }
     for (std::size_t i = 1; i < pfds.size(); ++i) {
       if (pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) recv_link(pfd_peer[i]);
@@ -220,14 +221,30 @@ void NetNode::recv_link(NodeId peer) {
   }
   const bool ok = l->reasm.feed(
       rbuf_.data(), static_cast<std::size_t>(n),
-      [this](const unsigned char* p, std::uint32_t len) { handle_frame(p, len); });
+      [this, l](const unsigned char* p, std::uint32_t len) { handle_frame(l, p, len); });
   // A bounds-violating length means the stream is corrupt beyond resync.
-  if (!ok) l->dead.store(true, std::memory_order_relaxed);
+  if (!ok && !l->dead.load(std::memory_order_relaxed)) reject_link(l);
 }
 
-void NetNode::handle_frame(const unsigned char* p, std::uint32_t len) {
+// Bad bytes cost the connection they came on, never the process: the peer
+// that sent them is faulty or the stream is corrupt, and either way nothing
+// after them on this link can be trusted. The shutdown hands the peer an
+// EOF, so its end of the link goes dead too instead of queueing frames no
+// one reads. The engines see silence, which their failure detectors
+// already handle.
+void NetNode::reject_link(Link* l) {
+  bad_frames_.fetch_add(1, std::memory_order_relaxed);
+  l->dead.store(true, std::memory_order_relaxed);
+  ::shutdown(l->sock.fd(), SHUT_RDWR);
+}
+
+void NetNode::handle_frame(Link* l, const unsigned char* p, std::uint32_t len) {
+  if (l->dead.load(std::memory_order_relaxed)) return;  // rest of a rejected recv
   Message m;
-  CI_CHECK_MSG(wire::try_decode(p, len, &m), "malformed frame on socket");
+  if (!wire::try_decode(p, len, &m)) {
+    reject_link(l);
+    return;
+  }
   maybe_stall();
   engine_->on_message(*ctx_, m);
   wire::release_body(m);  // decode allocated any pooled body
@@ -310,6 +327,24 @@ void NetNode::enqueue_bytes(NodeId dst, const unsigned char* p, std::size_t n) {
   } else {
     l->backlog.emplace_back(p, p + n);
   }
+}
+
+void NetNode::inject_raw(NodeId peer, std::vector<unsigned char> bytes) {
+  CI_CHECK(peer != self_ && peer >= 0 && peer < cfg_.total_nodes);
+  {
+    std::lock_guard<std::mutex> lock(injected_mu_);
+    injected_.emplace_back(peer, std::move(bytes));
+  }
+  wake();
+}
+
+void NetNode::write_injected() {
+  std::vector<std::pair<NodeId, std::vector<unsigned char>>> batch;
+  {
+    std::lock_guard<std::mutex> lock(injected_mu_);
+    batch.swap(injected_);
+  }
+  for (const auto& [peer, bytes] : batch) enqueue_bytes(peer, bytes.data(), bytes.size());
 }
 
 void NetNode::promote_backlogs() {

@@ -30,6 +30,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <thread>
 #include <vector>
@@ -103,6 +104,16 @@ class NetNode {
   // means), which the net fault suite asserts end to end. Wakes the poll
   // loop like request_stop().
   void kill();
+
+  // Fault injection: queues raw stream bytes on the link to `peer`, behind
+  // the frames already queued there — bad input the peer's decoder must
+  // survive. Any thread; the node thread writes them on its next loop.
+  void inject_raw(NodeId peer, std::vector<unsigned char> bytes);
+
+  // Frames this node refused: a length prefix out of bounds or a frame the
+  // codec rejects. Each costs the link it arrived on, which is marked dead
+  // (sends to that peer are dropped from then on); the node keeps running.
+  std::uint64_t bad_frames() const { return bad_frames_.load(std::memory_order_relaxed); }
 
   // Mesh is up and the engine has started (set on the node thread).
   bool ready() const { return ready_.load(std::memory_order_acquire); }
@@ -190,7 +201,9 @@ class NetNode {
   bool bootstrap();
   void poll_loop();
   void recv_link(NodeId peer);
-  void handle_frame(const unsigned char* p, std::uint32_t len);
+  void handle_frame(Link* l, const unsigned char* p, std::uint32_t len);
+  void reject_link(Link* l);
+  void write_injected();
   void send(NodeId dst, const Message& m);
   void enqueue_bytes(NodeId dst, const unsigned char* p, std::size_t n);
   void promote_backlogs();
@@ -214,6 +227,9 @@ class NetNode {
   std::atomic<bool> killed_{false};
   std::atomic<bool> ready_{false};
   std::atomic<std::uint64_t> wakeups_{0};
+  std::atomic<std::uint64_t> bad_frames_{0};
+  std::mutex injected_mu_;
+  std::vector<std::pair<NodeId, std::vector<unsigned char>>> injected_;
   std::atomic<std::uint32_t> slow_factor_{1};
   std::atomic<Nanos> clock_anchor_real_{0};
   std::atomic<Nanos> clock_anchor_seen_{0};

@@ -211,5 +211,25 @@ TEST(Client, StaleRepliesIgnored) {
   EXPECT_EQ(h.client->committed(), 0u);
 }
 
+TEST(Client, ReplyBatchEntriesCountLikeSingleReplies) {
+  // A replica answers one client's commands of a decided instance in one
+  // kClientReplyBatch; the client takes each entry as the kClientReply it
+  // stands for, so stale entries are ignored and the awaited one commits.
+  ClientHarness h(/*total=*/3);
+  h.replicas[0]->mute = true;
+  h.start_client();
+  ASSERT_EQ(h.client->issued(), 1u);
+  Message batch(MsgType::kClientReplyBatch, ProtoId::kClient, 0, 3);
+  batch.u.client_reply_batch.instance = 0;
+  batch.u.client_reply_batch.leader_hint = 0;
+  batch.u.client_reply_batch.count = 2;
+  batch.u.client_reply_batch.entries[0].seq = 999;  // stale
+  batch.u.client_reply_batch.entries[1].seq = 1;    // the outstanding command
+  h.net.inject(batch);
+  h.net.run();  // the muted replica swallows the requests
+  EXPECT_EQ(h.client->committed(), 1u);
+  EXPECT_EQ(h.client->issued(), 2u);  // closed loop: the next one went out
+}
+
 }  // namespace
 }  // namespace ci::consensus

@@ -333,6 +333,100 @@ TEST(WireCodec, LearnRunRejectsCountsOutsideItsWindow) {
   }
 }
 
+// kClientReplyBatch: one decided instance's replies to one client. The
+// entries live inside the Message (no pool), so the frame is a plain
+// struct prefix: header, instance/leader hint/count, then `count` entries.
+Message rand_reply_batch(Rng& rng, std::int32_t count) {
+  Message m(MsgType::kClientReplyBatch, ProtoId::kClient, 0, 5);
+  ClientReplyBatch& b = m.u.client_reply_batch;
+  b.instance = static_cast<Instance>(rng.next_below(1u << 20));
+  b.leader_hint = static_cast<NodeId>(rng.next_below(3));
+  b.count = count;
+  for (std::int32_t i = 0; i < count; ++i) {
+    b.entries[i].seq = static_cast<std::uint32_t>(rng.next_below(1u << 30));
+    b.entries[i].lease_epoch = static_cast<std::uint32_t>(rng.next_below(1u << 30));
+    b.entries[i].result = rng.next_u64();
+  }
+  return m;
+}
+
+TEST(WireCodec, ClientReplyBatchRoundTripsAtTwoAndSixtyFour) {
+  Rng rng(0x2E91);
+  for (const std::int32_t count : {2, kMaxCommandsPerBatch}) {
+    const Message m = rand_reply_batch(rng, count);
+    unsigned char buf[ci::wire::kMaxFrameBytes];
+    const std::uint32_t n = ci::wire::encode(m, buf);
+    EXPECT_EQ(n, wire_size(m));
+    EXPECT_EQ(n, kMessageHeaderBytes + offsetof(ClientReplyBatch, entries) +
+                     static_cast<std::size_t>(count) * sizeof(ReplyEntry));
+    Message out;
+    ASSERT_TRUE(ci::wire::try_decode(buf, n, &out)) << "count " << count;
+    expect_same_frame(m, out);
+    ASSERT_EQ(out.u.client_reply_batch.count, count);
+    EXPECT_EQ(out.u.client_reply_batch.instance, m.u.client_reply_batch.instance);
+    EXPECT_EQ(out.u.client_reply_batch.leader_hint, m.u.client_reply_batch.leader_hint);
+    for (std::int32_t i = 0; i < count; ++i) {
+      const ReplyEntry& a = m.u.client_reply_batch.entries[i];
+      const ReplyEntry& b = out.u.client_reply_batch.entries[i];
+      EXPECT_EQ(a.seq, b.seq);
+      EXPECT_EQ(a.lease_epoch, b.lease_epoch);
+      EXPECT_EQ(a.result, b.result);
+    }
+    // Split back into replies: one per entry, in order, with the shared
+    // header fields and each entry's own epoch.
+    std::int32_t seen = 0;
+    for_each_reply(out, [&](const Message& r) {
+      EXPECT_EQ(r.type, MsgType::kClientReply);
+      EXPECT_EQ(r.u.client_reply.instance, m.u.client_reply_batch.instance);
+      EXPECT_EQ(r.u.client_reply.leader_hint, m.u.client_reply_batch.leader_hint);
+      EXPECT_EQ(r.u.client_reply.seq, m.u.client_reply_batch.entries[seen].seq);
+      EXPECT_EQ(r.u.client_reply.lease_epoch, m.u.client_reply_batch.entries[seen].lease_epoch);
+      EXPECT_EQ(r.u.client_reply.result, m.u.client_reply_batch.entries[seen].result);
+      EXPECT_EQ(r.u.client_reply.ok, 1);
+      seen++;
+    });
+    EXPECT_EQ(seen, count);
+  }
+}
+
+TEST(WireCodec, ClientReplyBatchRejectsBadCountsAndTruncatedEntries) {
+  Rng rng(0x2E92);
+  const Message m = rand_reply_batch(rng, kMaxCommandsPerBatch);
+  unsigned char buf[ci::wire::kMaxFrameBytes];
+  std::memset(buf, 0, sizeof(buf));
+  const std::uint32_t n = ci::wire::encode(m, buf);
+  Message out;
+  // A truncated entry run: every proper prefix of the frame, including
+  // ones that cut an entry in half.
+  for (std::uint32_t k = 0; k < n; ++k) {
+    EXPECT_FALSE(ci::wire::try_decode(buf, k, &out)) << "prefix " << k;
+  }
+  // A single reply travels as kClientReply, and the entry array holds 64:
+  // counts 0, 1 and 65 never decode, whatever bytes follow.
+  for (const std::int32_t bogus : {0, 1, kMaxCommandsPerBatch + 1, -2}) {
+    std::memcpy(buf + kMessageHeaderBytes + offsetof(ClientReplyBatch, count), &bogus,
+                sizeof(bogus));
+    EXPECT_FALSE(ci::wire::try_decode(buf, ci::wire::kMaxFrameBytes, &out))
+        << "count " << bogus;
+  }
+}
+
+// The full reply batch fits every deployment's frame bound — rt queue
+// slots and net send rings are sized from max_frame_bytes(policy) — for
+// every batch cap a policy can set.
+constexpr bool reply_batch_fits_every_policy() {
+  const std::size_t frame = kMessageHeaderBytes + sizeof(ClientReplyBatch);
+  for (std::int32_t cap = 1; cap <= kMaxCommandsPerBatch; ++cap) {
+    BatchPolicy policy;
+    policy.max_commands = cap;
+    if (frame > ci::wire::max_frame_bytes(policy)) return false;
+  }
+  return frame <= ci::wire::kMaxFrameBytes;
+}
+static_assert(reply_batch_fits_every_policy(),
+              "a 64-entry kClientReplyBatch must fit max_frame_bytes(policy) for every policy");
+static_assert(kMessageHeaderBytes + sizeof(ClientReplyBatch) == 1056);
+
 TEST(WireCodec, PooledDecodeAllocatesAndReleaseReturns) {
   const std::size_t live0 = CommandPool::local().live();
   Rng rng(7);

@@ -167,6 +167,50 @@ TEST(NearCache, HitsWhileEpochStandsInvalidatesOnNewerEpoch) {
   EXPECT_EQ(s.near_cache_hits(), hits_before);  // it was a miss
 }
 
+// A read and a later write of one key decided in one instance come back in
+// one kClientReplyBatch, each entry with its own epoch. The read's epoch
+// predates the write, so a near-cache entry made from the read is already
+// older than the session's latest epoch once the frame is processed — it
+// is never served. (One epoch for the whole frame would stamp the read's
+// stale value with the write's epoch and make it look current.)
+TEST(NearCache, ReadAndLaterWriteInOneInstanceDoNotShareAnEpoch) {
+  ServiceClient::Options o;
+  o.backend = core::Backend::kSim;
+  o.spec.protocol = core::Protocol::kMultiPaxos;
+  o.spec.apply(core::TimeoutProfile::many_core());
+  o.spec.workload.request_timeout = 10 * kMillisecond;
+  o.spec.engine.batch.max_commands = 8;
+  o.spec.engine.batch.flush_after = 50 * kMicrosecond;  // fixed hold: both join one batch
+  ServiceClient svc(o);
+  Session& s = svc.session(0);
+  s.enable_near_cache();
+  AsyncClientEngine& client = s.group_client(s.group_of(6));
+  client.submit(Op::kWrite, 6, 1).wait();  // straight to the group: nothing cached
+
+  SubmitHandle read = s.submit(Op::kRead, 6, 0);  // a miss: nothing cached for 6
+  SubmitHandle write = s.submit(Op::kWrite, 6, 2);
+  EXPECT_EQ(read.wait(), 1u);
+  write.wait();
+
+  // They decided in one instance, read first.
+  const consensus::ReplicatedLog* log = &svc.deployment().group(0).multi_paxos(0)->log();
+  bool shared = false;
+  for (consensus::Instance in = log->first_gap() - 1; in >= 0 && !log->is_trimmed(in); --in) {
+    const consensus::Batch& b = *log->get_batch(in);
+    for (std::size_t i = 0; i + 1 < b.size(); ++i) {
+      shared |= b[i].op == Op::kRead && b[i].key == 6 && b[i + 1].op == Op::kWrite &&
+                b[i + 1].key == 6 && b[i + 1].value == 2;
+    }
+  }
+  ASSERT_TRUE(shared) << "the read and the write did not decide in one instance";
+
+  EXPECT_LT(read.lease_epoch(), write.lease_epoch());
+  EXPECT_EQ(client.latest_epoch(), write.lease_epoch());
+  EXPECT_NE(read.lease_epoch(), client.latest_epoch())
+      << "the read's value would be served from the near-cache as current";
+  EXPECT_EQ(s.execute(Op::kRead, 6, 0), 2u);
+}
+
 TEST(SnapshotTxn, ReadOnlyCutIsConsistentAcrossGroupsUnderWriters) {
   ServiceClient::Options o = lease_opts(core::Backend::kSim, core::Protocol::kMultiPaxos);
   o.groups = 2;
