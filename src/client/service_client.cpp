@@ -163,9 +163,6 @@ ServiceClient::ServiceClient(const Options& opts)
     // introspection, and recording every delivery would grow recorder state
     // unboundedly over the service's lifetime (deployments with a bounded
     // run window are where the recorders earn their keep).
-    // Bring the replicas up (leader election, first heartbeats) so the
-    // first session op does not pay the cold-start latency.
-    sim_->net->run_until(1 * kMillisecond);
     return;
   }
 

@@ -73,8 +73,8 @@ std::size_t payload_bytes(const Message& m) {
       return sizeof(OpxAbandon);
     case MsgType::kOpxLearn:
       return sizeof(OpxLearn);
-    case MsgType::kOpxCatchupReq:
-      return sizeof(OpxCatchupReq);
+    case MsgType::kCatchupReq:
+      return sizeof(CatchupReq);
     case MsgType::kUtilPhase1Req:
       return sizeof(UtilPhase1Req);
     case MsgType::kUtilPhase1Resp:
@@ -142,7 +142,7 @@ bool known_type(MsgType t) {
     case MsgType::kOpxAcceptReq:
     case MsgType::kOpxAbandon:
     case MsgType::kOpxLearn:
-    case MsgType::kOpxCatchupReq:
+    case MsgType::kCatchupReq:
     case MsgType::kUtilPhase1Req:
     case MsgType::kUtilPhase1Resp:
     case MsgType::kUtilPhase2Req:

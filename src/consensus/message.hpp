@@ -67,8 +67,9 @@ enum class MsgType : std::uint8_t {
   kOpxPrepareResp,
   kOpxAcceptReq,
   kOpxAbandon,
-  kOpxLearn,       // single active acceptor -> all learners
-  kOpxCatchupReq,  // lagging learner -> leader: re-send decided values
+  kOpxLearn,    // single active acceptor -> all learners
+  kCatchupReq,  // lagging learner -> a replica: re-send decided values
+                // (1Paxos and Multi-Paxos both use it)
 
   // PaxosUtility (§5.2).
   kUtilPhase1Req,
@@ -119,7 +120,7 @@ enum class MsgType : std::uint8_t {
   // Catch-up run (1Paxos): a run of count (>= 2) CONSECUTIVE instances
   // starting at first_instance, each of which decided exactly ONE command
   // (cmds[i] is the whole value of first_instance + i). Replaces the
-  // per-instance kOpxLearn resends a lagging learner's kOpxCatchupReq used
+  // per-instance kOpxLearn resends a lagging learner's kCatchupReq used
   // to trigger: one header amortizes over the run. Instances that decided
   // multi-command batches still ride kOpxBatchLearn.
   kOpxLearnRun,
@@ -302,7 +303,9 @@ struct OpxLearn {
   Command value;
 };
 
-struct OpxCatchupReq {
+// A catch-up answer covers at most this many instances from from_instance.
+inline constexpr std::int32_t kCatchupWindow = 16;
+struct CatchupReq {
   Instance from_instance = 0;  // send decided values from here on
 };
 
@@ -433,9 +436,9 @@ inline constexpr std::int32_t kMaxClientBatchCommands = kInlineBatchCommands;
 // instances, [first_instance, first_instance + count). Same shape as
 // OpxBatchLearn — the meaning of the run differs (one command per instance,
 // not one instance deciding the run). Capped at the catch-up window (16
-// instances per kOpxCatchupReq), which keeps the frame under every
+// instances per kCatchupReq), which keeps the frame under every
 // deployment's max_frame_bytes() bound regardless of batch policy.
-inline constexpr std::int32_t kMaxLearnRunCommands = 16;
+inline constexpr std::int32_t kMaxLearnRunCommands = kCatchupWindow;
 struct OpxLearnRun {
   Instance first_instance = kNoInstance;
   std::int32_t count = 0;
@@ -572,7 +575,7 @@ struct Message {
     OpxAcceptReq opx_accept_req;
     OpxAbandon opx_abandon;
     OpxLearn opx_learn;
-    OpxCatchupReq opx_catchup_req;
+    CatchupReq catchup_req;
     UtilPhase1Req util_phase1_req;
     UtilPhase1Resp util_phase1_resp;
     UtilPhase2Req util_phase2_req;

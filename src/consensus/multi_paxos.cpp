@@ -84,6 +84,9 @@ void MultiPaxosEngine::on_message(Context& ctx, const Message& m) {
     case MsgType::kLeaseGrant:
       handle_lease_grant(m);
       return;
+    case MsgType::kCatchupReq:
+      handle_catchup_req(ctx, m);
+      return;
     default:
       return;
   }
@@ -494,7 +497,32 @@ void MultiPaxosEngine::handle_heartbeat(Context& ctx, const Message& m) {
     g.u.lease_grant.lease_seq = m.u.heartbeat.lease_seq;
   }
   ctx.send(hb_leader, g);
+  // A first gap below what the PREVIOUS heartbeat called committed is a
+  // lost decide, not one still in flight: ask the leader to re-send it, at
+  // most once per retry_timeout. A loss-free run never asks.
+  if (log_.first_gap() < prev_hb_committed_ &&
+      ctx.now() - last_catchup_sent_ >= cfg_.base.retry_timeout) {
+    last_catchup_sent_ = ctx.now();
+    Message req(MsgType::kCatchupReq, ProtoId::kMultiPaxos, cfg_.base.self, hb_leader);
+    req.u.catchup_req.from_instance = log_.first_gap();
+    ctx.send(hb_leader, req);
+  }
+  prev_hb_committed_ = m.u.heartbeat.committed;
   forward_pending(ctx);
+}
+
+// Any replica answers a catch-up request from its kept log, one decided
+// frame per instance over a bounded window. A trimmed instance is applied
+// everywhere, the asker included (the request is older than its own
+// progress); an undecided one is not ours to send.
+void MultiPaxosEngine::handle_catchup_req(Context& ctx, const Message& m) {
+  const Instance from = m.u.catchup_req.from_instance;
+  if (from < 0 || from >= log_.end()) return;
+  const Instance to = std::min<Instance>(from + kCatchupWindow, log_.end());
+  for (Instance in = from; in < to; ++in) {
+    if (log_.is_trimmed(in) || !log_.is_learned(in)) continue;
+    send_acked(ctx, m.src, in, ProposalNum{}, *log_.get_batch(in), /*decided=*/true);
+  }
 }
 
 void MultiPaxosEngine::handle_lease_grant(const Message& m) {

@@ -22,7 +22,9 @@
 //
 // The leader's heartbeats carry the group's trim floor and every replica
 // drops the decided bodies below it (ReplicatedLog::trim); followers
-// report their applied prefix on each heartbeat answer.
+// report their applied prefix on each heartbeat answer. A follower that
+// lost a decide asks for it again (kCatchupReq) once a heartbeat shows the
+// hole is older than one heartbeat period.
 #pragma once
 
 #include <cstdint>
@@ -124,6 +126,7 @@ class MultiPaxosEngine final : public Engine {
                            NodeId src, bool decided);
   void handle_nack(Context& ctx, const Message& m);
   void handle_heartbeat(Context& ctx, const Message& m);
+  void handle_catchup_req(Context& ctx, const Message& m);
   void handle_lease_grant(const Message& m);
   bool try_lease_read(Context& ctx, const Command& cmd);
   void learn(Context& ctx, Instance in, const Batch& value);
@@ -163,6 +166,11 @@ class MultiPaxosEngine final : public Engine {
   Nanos last_leader_contact_ = 0;
   Nanos last_heartbeat_sent_ = 0;
   Nanos fd_jitter_ = 0;
+
+  // Catch-up (follower side): the committed frontier the previous heartbeat
+  // reported, and when we last asked for the values below it.
+  Instance prev_hb_committed_ = 0;
+  Nanos last_catchup_sent_ = 0;
 
   // Leader leases (DESIGN.md §1f; off unless cfg_.base.lease_duration > 0).
   LeaseLedger lease_;      // leader side: grants followers gave us

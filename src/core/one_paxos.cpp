@@ -175,18 +175,18 @@ void OnePaxosEngine::on_message(Context& ctx, const Message& m) {
         // The leader has decided instances we miss (lost learns): ask for a
         // re-send so local execution can progress.
         last_catchup_sent_ = ctx.now();
-        Message req(MsgType::kOpxCatchupReq, ProtoId::kOnePaxos, cfg_.base.self, m.src);
-        req.u.opx_catchup_req.from_instance = log_.first_gap();
+        Message req(MsgType::kCatchupReq, ProtoId::kOnePaxos, cfg_.base.self, m.src);
+        req.u.catchup_req.from_instance = log_.first_gap();
         ctx.send(m.src, req);
       }
       return;
     }
-    case MsgType::kOpxCatchupReq: {
+    case MsgType::kCatchupReq: {
       // Any node re-sends the decided values it knows (bounded window).
       // Consecutive single-command instances coalesce into one
       // kOpxLearnRun frame; multi-command batches and undecided gaps
       // break the run and ship as their own legacy learn frames.
-      const Instance from = m.u.opx_catchup_req.from_instance;
+      const Instance from = m.u.catchup_req.from_instance;
       const Instance to = std::min(from + kMaxLearnRunCommands, log_.end());
       Batch run;  // one command per coalesced instance
       Instance run_start = kNoInstance;
@@ -1026,8 +1026,8 @@ void OnePaxosEngine::tick(Context& ctx) {
         last_catchup_sent_ = now;
         for (NodeId r = 0; r < cfg_.base.num_replicas; ++r) {
           if (r == cfg_.base.self) continue;
-          Message req(MsgType::kOpxCatchupReq, ProtoId::kOnePaxos, cfg_.base.self, r);
-          req.u.opx_catchup_req.from_instance = gap;
+          Message req(MsgType::kCatchupReq, ProtoId::kOnePaxos, cfg_.base.self, r);
+          req.u.catchup_req.from_instance = gap;
           ctx.send(r, req);
         }
       }

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "consensus/multi_paxos.hpp"
+#include "core/one_paxos.hpp"
 
 namespace ci::client {
 namespace {
@@ -260,6 +261,77 @@ TEST(SimWake, QueueWaitStaysBelowOneMessageCost) {
   EXPECT_LT(w.total_ns / static_cast<Nanos>(w.count), kMicrosecond)
       << "max " << w.max_ns << " ns";
 }
+
+// ---- Cold start on the simulator (DESIGN.md §1i) ----
+// Construction advances no virtual time; the first wait drives bring-up.
+// With a pre-agreed leader the first write costs one commit round, and
+// reads go through the log until the first lease round ends.
+
+struct ColdStartCase {
+  const char* name;
+  core::Protocol protocol;
+  std::int32_t groups;
+};
+
+class ColdStart : public ::testing::TestWithParam<ColdStartCase> {
+ protected:
+  static ServiceClient::Options options() {
+    ServiceClient::Options o;
+    o.backend = core::Backend::kSim;
+    o.groups = GetParam().groups;
+    o.spec.protocol = GetParam().protocol;
+    o.spec.apply(core::TimeoutProfile::many_core());
+    o.spec.engine.lease_duration = 4 * kMillisecond;
+    return o;
+  }
+
+  static std::uint64_t lease_reads(ServiceClient& svc) {
+    std::uint64_t n = 0;
+    for (consensus::GroupId g = 0; g < svc.deployment().num_groups(); ++g) {
+      core::Deployment& d = svc.deployment().group(g);
+      for (consensus::NodeId r = 0; r < svc.num_replicas(); ++r) {
+        if (auto* e = d.one_paxos(r)) n += e->lease_reads();
+        if (auto* e = d.multi_paxos(r)) n += e->lease_reads();
+      }
+    }
+    return n;
+  }
+};
+
+TEST_P(ColdStart, ConstructionAdvancesNoVirtualTime) {
+  ServiceClient svc(options());
+  EXPECT_EQ(svc.sim_now(), 0);
+}
+
+TEST_P(ColdStart, FirstWriteCommitsInOneRound) {
+  ServiceClient svc(options());
+  SubmitHandle w = svc.session(0).submit(Op::kWrite, 7, 70);
+  w.wait();
+  EXPECT_LE(w.completed_at(), 20 * kMicrosecond);
+}
+
+TEST_P(ColdStart, ReadsGoThroughTheLogUntilTheFirstLeaseRound) {
+  ServiceClient svc(options());
+  Session& s = svc.session(0);
+  s.execute(Op::kWrite, 7, 70);
+  const Nanos heartbeat = options().spec.engine.heartbeat_period;
+  ASSERT_LT(svc.sim_now(), heartbeat);
+  EXPECT_EQ(s.execute(Op::kRead, 7, 0), 70u);
+  EXPECT_EQ(lease_reads(svc), 0u) << "a read before the first lease round skipped the log";
+  // The first heartbeat leaves on a leader's first tick at or after
+  // heartbeat_period (node ticks are staggered over one tick period), and
+  // its grants are back within another tick period.
+  svc.sim_run_until(heartbeat + 2 * options().spec.sim.tick_period);
+  EXPECT_EQ(s.execute(Op::kRead, 7, 0), 70u);
+  EXPECT_GT(lease_reads(svc), 0u) << "no read was served under the lease";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Protocols, ColdStart,
+    ::testing::Values(ColdStartCase{"OnePaxos", core::Protocol::kOnePaxos, 1},
+                      ColdStartCase{"MultiPaxos", core::Protocol::kMultiPaxos, 1},
+                      ColdStartCase{"MultiPaxos4Groups", core::Protocol::kMultiPaxos, 4}),
+    [](const ::testing::TestParamInfo<ColdStartCase>& info) { return std::string(info.param.name); });
 
 }  // namespace
 }  // namespace ci::client

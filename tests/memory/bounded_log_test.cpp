@@ -7,6 +7,8 @@
 //     then trimming resumes past the point it was held at.
 //   * A 1Paxos follower cut off from the group catches up through bodies
 //     the others kept for it, and trimming resumes past where it stood.
+//   * A Multi-Paxos follower that lost one decide asks for it again, and
+//     its frozen applied prefix stops pinning the group's log.
 //   * A leader change after trimming ends with every replica holding every
 //     acknowledged write.
 #include <gtest/gtest.h>
@@ -241,6 +243,63 @@ TEST(BoundedLogCatchUp, OnePaxosFollowerCutOffCatchesUpAcrossTheDropPoint) {
     }
   }
   EXPECT_EQ(net.delivered(2).size(), net.delivered(0).size());
+}
+
+// A Multi-Paxos follower that loses one decide (every acceptance of
+// instance 5 addressed to it) learns everything after it but cannot apply
+// past the hole. The next heartbeats show the hole is older than a round;
+// the follower asks for it, applies the whole log, and its reports let the
+// group trim again.
+TEST(BoundedLogCatchUp, MultiPaxosFollowerMissingOneDecideCatchesUp) {
+  test::FakeNet net;
+  std::vector<std::unique_ptr<consensus::MultiPaxosEngine>> engines;
+  for (NodeId r = 0; r < 3; ++r) {
+    consensus::MultiPaxosConfig cfg;
+    cfg.base.self = r;
+    cfg.base.num_replicas = 3;
+    cfg.initial_leader = 0;
+    engines.push_back(std::make_unique<consensus::MultiPaxosEngine>(cfg));
+    net.add(engines.back().get());
+  }
+  net.start_all();
+  const auto log = [&](NodeId r) -> const ReplicatedLog& {
+    return engines[static_cast<std::size_t>(r)]->log();
+  };
+  bool dropping = true;  // only the first round of acceptances is lost
+  const auto lost = [&](const consensus::Message& m) {
+    return dropping && m.dst == 2 && m.type == consensus::MsgType::kPhase2Acked &&
+           m.u.phase2_acked.instance == 5;
+  };
+  const auto run = [&] {
+    while (net.pending() > 0) {
+      net.drop_if(lost);
+      net.step();
+    }
+  };
+  constexpr NodeId kClient = 9;
+  std::uint32_t seq = 0;
+  // One command per instance; a heartbeat round every 10 commands.
+  const auto commit = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      net.inject(test::client_request(kClient, 0, ++seq));
+      run();
+      if (seq % 10 == 0) {
+        net.advance(200 * kMicrosecond);
+        run();
+      }
+    }
+    net.clear_external();
+  };
+  commit(6);
+  ASSERT_EQ(log(2).first_gap(), 5) << "the decide of instance 5 was not lost";
+  dropping = false;
+  commit(500);  // 50 heartbeat rounds
+  EXPECT_EQ(log(2).first_gap(), 506);
+  EXPECT_EQ(log(2).executed_prefix(), 506) << "the follower never caught up";
+  EXPECT_EQ(net.delivered(2).size(), net.delivered(0).size());
+  // The follower's reports moved the floor: the leader keeps the last
+  // round's lag plus the kept tail, not the whole log.
+  EXPECT_LE(log(0).retained(), static_cast<std::size_t>(2 * ReplicatedLog::kKeptTail));
 }
 
 INSTANTIATE_TEST_SUITE_P(Protocols, BoundedLog,
