@@ -33,9 +33,9 @@ Ablation run_k(int k) {
     o.engine.heartbeat_period = 10 * kSecond;
     o.engine.fd_timeout = 100 * kSecond;
     o.sim.model.prop_jitter = 0;
-    SimCluster c(o);
-    c.run(5 * kSecond);
-    out.msgs_per_commit = static_cast<double>(c.net().total_messages()) /
+    Cluster c(Backend::kSim, o);
+    c.run_until(5 * kSecond);
+    out.msgs_per_commit = static_cast<double>(c.total_messages()) /
                           static_cast<double>(c.total_committed());
   }
   {
@@ -58,12 +58,12 @@ Ablation run_k(int k) {
     o.num_clients = 3;
     o.acceptor_count = k;
     o.seed = 8;
-    SimCluster c(o);
+    Cluster c(Backend::kSim, o);
     const consensus::NodeId victim = k > 1 ? static_cast<consensus::NodeId>(k - 1) : 0;
     c.slow_node(victim, 50 * kMillisecond, 100 * kSecond, 1e6);
-    c.run(150 * kMillisecond);
+    c.run_until(150 * kMillisecond);
     const auto mid = c.total_committed();
-    c.run(400 * kMillisecond);
+    c.run_until(400 * kMillisecond);
     out.survives_acceptor_fault = c.total_committed() > mid + 100;
   }
   return out;
@@ -92,11 +92,11 @@ int main() {
     o.num_replicas = 3;
     o.num_clients = 3;
     o.seed = 8;
-    SimCluster c(o);
+    Cluster c(Backend::kSim, o);
     c.slow_node(1, 50 * kMillisecond, 100 * kSecond, 1e6);  // active acceptor dies
-    c.run(150 * kMillisecond);
+    c.run_until(150 * kMillisecond);
     const auto mid = c.total_committed();
-    c.run(400 * kMillisecond);
+    c.run_until(400 * kMillisecond);
     const bool survives = c.total_committed() > mid + 100;
     ClusterSpec t;
     t.protocol = Protocol::kOnePaxos;

@@ -124,10 +124,11 @@ int main(int argc, char** argv) {
     plan.max_wall = 60 * kSecond;
     row("");
     row("--sweep-diff: batch=16 spec on sim AND rt...");
-    const harness::SweepDiff d = harness::sweep_diff(ShardSpec(o), plan);
+    const harness::SweepDiffN d =
+        harness::sweep_diff({Backend::kSim, Backend::kRt}, ShardSpec(o), plan);
     row("  sim committed %llu, rt committed %llu",
-        static_cast<unsigned long long>(d.sim.committed),
-        static_cast<unsigned long long>(d.rt.committed));
+        static_cast<unsigned long long>(d.runs[0].result.committed),
+        static_cast<unsigned long long>(d.runs[1].result.committed));
     for (const std::string& m : d.mismatches) row("  MISMATCH: %s", m.c_str());
     if (!d.ok()) return 1;
     row("  shapes agree.");

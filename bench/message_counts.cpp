@@ -26,9 +26,9 @@ double messages_per_commit(Protocol p) {
   o.engine.heartbeat_period = 10 * kSecond;
   o.engine.fd_timeout = 100 * kSecond;
   o.sim.model.prop_jitter = 0;
-  SimCluster c(o);
-  c.run(5 * kSecond);
-  return static_cast<double>(c.net().total_messages()) /
+  Cluster c(Backend::kSim, o);
+  c.run_until(5 * kSecond);
+  return static_cast<double>(c.total_messages()) /
          static_cast<double>(c.total_committed());
 }
 

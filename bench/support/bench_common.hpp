@@ -18,22 +18,20 @@
 #include <vector>
 
 #include "common/timeseries.hpp"
+#include "core/cluster.hpp"
 #include "core/cluster_spec.hpp"
 #include "core/run_result.hpp"
 #include "harness/cluster_harness.hpp"
-#include "net/net_cluster.hpp"
-#include "rt/rt_cluster.hpp"
-#include "sim/sim_cluster.hpp"
 
 namespace ci::bench {
 
 using core::Backend;
+using core::Cluster;
 using core::ClusterSpec;
 using core::LatencyModel;
 using core::Protocol;
 using core::TimeoutProfile;
 using harness::RunPlan;
-using sim::SimCluster;
 
 inline void header(const char* experiment, const char* paper_ref, const char* what) {
   std::printf("==============================================================\n");
@@ -178,8 +176,8 @@ inline const char* pname(Protocol p) { return core::protocol_name(p); }
 
 // Time-series run for the slow-core experiments (Fig. 11 / §2.2): runs the
 // spec — including its FaultPlan — for `buckets * bucket` and returns the
-// merged per-bucket commit rate across all clients. Works on either
-// backend: virtual time under sim, wall time under rt.
+// merged per-bucket commit rate across all clients. Works on every
+// backend: virtual time under sim, wall time under rt and net.
 inline std::vector<double> run_timeseries(Backend backend, const ClusterSpec& spec,
                                           Nanos bucket, int buckets) {
   const Nanos total = bucket * buckets;
@@ -187,28 +185,15 @@ inline std::vector<double> run_timeseries(Backend backend, const ClusterSpec& sp
   std::vector<TimeSeries> per_client;
   per_client.reserve(static_cast<std::size_t>(C));
 
-  if (backend == Backend::kSim) {
-    sim::SimCluster c(spec);
-    for (int i = 0; i < C; ++i) per_client.emplace_back(0, bucket, static_cast<std::size_t>(buckets));
-    for (int i = 0; i < C; ++i) c.mutable_client(i).set_commit_series(&per_client[static_cast<std::size_t>(i)]);
-    c.run(total);
-  } else if (backend == Backend::kRt) {
-    rt::RtCluster c(spec);
-    const Nanos origin = now_nanos();
-    for (int i = 0; i < C; ++i) per_client.emplace_back(origin, bucket, static_cast<std::size_t>(buckets));
-    for (int i = 0; i < C; ++i) c.client(i)->set_commit_series(&per_client[static_cast<std::size_t>(i)]);
-    c.start();
-    c.drive_until(origin + total);
-    c.stop();
-  } else {
-    net::NetCluster c(spec);
-    const Nanos origin = now_nanos();
-    for (int i = 0; i < C; ++i) per_client.emplace_back(origin, bucket, static_cast<std::size_t>(buckets));
-    for (int i = 0; i < C; ++i) c.client(i)->set_commit_series(&per_client[static_cast<std::size_t>(i)]);
-    c.start();
-    c.drive_until(origin + total);
-    c.stop();
+  Cluster c(backend, spec);
+  const Nanos origin = c.now();
+  for (int i = 0; i < C; ++i) {
+    per_client.emplace_back(origin, bucket, static_cast<std::size_t>(buckets));
+    c.client(i)->set_commit_series(&per_client[static_cast<std::size_t>(i)]);
   }
+  c.start();
+  c.run_until(origin + total);
+  c.stop();
 
   TimeSeries merged(per_client[0].origin(), bucket, static_cast<std::size_t>(buckets));
   for (const auto& ts : per_client) merged.merge(ts);

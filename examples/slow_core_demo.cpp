@@ -8,13 +8,13 @@
 //
 //   $ ./examples/slow_core_demo                 # real threads (default)
 //   $ ./examples/slow_core_demo --backend=sim
+//   $ ./examples/slow_core_demo --backend=net   # over a loopback TCP mesh
 #include <cstdio>
 #include <vector>
 
 #include "common/timeseries.hpp"
+#include "core/cluster.hpp"
 #include "harness/cluster_harness.hpp"
-#include "rt/rt_cluster.hpp"
-#include "sim/sim_cluster.hpp"
 
 namespace {
 
@@ -38,28 +38,17 @@ void run_protocol(Backend backend, Protocol protocol) {
 
   const int C = spec.client_count();
   std::vector<TimeSeries> per_client;
-  std::uint64_t committed = 0;
-  bool consistent = true;
-
-  if (backend == Backend::kSim) {
-    sim::SimCluster c(spec);
-    for (int i = 0; i < C; ++i) per_client.emplace_back(0, kBucket, kBuckets);
-    for (int i = 0; i < C; ++i) c.mutable_client(i).set_commit_series(&per_client[static_cast<std::size_t>(i)]);
-    c.run(kBucket * kBuckets);
-    committed = c.total_committed();
-    consistent = c.consistent();
-  } else {
-    rt::RtCluster c(spec);
-    const Nanos origin = now_nanos();
-    for (int i = 0; i < C; ++i) per_client.emplace_back(origin, kBucket, kBuckets);
-    for (int i = 0; i < C; ++i) c.client(i)->set_commit_series(&per_client[static_cast<std::size_t>(i)]);
-    c.start();
-    c.drive_until(origin + kBucket * kBuckets);
-    c.stop();
-    const core::RunResult r = c.collect();
-    committed = r.committed;
-    consistent = r.consistent;
+  per_client.reserve(static_cast<std::size_t>(C));  // clients hold pointers into it
+  core::Cluster c(backend, spec);
+  const Nanos origin = c.now();
+  for (int i = 0; i < C; ++i) {
+    per_client.emplace_back(origin, kBucket, kBuckets);
+    c.client(i)->set_commit_series(&per_client[static_cast<std::size_t>(i)]);
   }
+  c.start();
+  c.run_until(origin + kBucket * kBuckets);
+  c.stop();
+  const core::RunResult r = c.collect();
 
   TimeSeries merged(per_client[0].origin(), kBucket, kBuckets);
   for (const auto& ts : per_client) merged.merge(ts);
@@ -74,7 +63,7 @@ void run_protocol(Backend backend, Protocol protocol) {
                 merged.rate(static_cast<std::size_t>(bucket)), phase);
   }
   std::printf("total committed: %llu, agreement consistent: %s\n",
-              static_cast<unsigned long long>(committed), consistent ? "yes" : "NO");
+              static_cast<unsigned long long>(r.committed), r.consistent ? "yes" : "NO");
 }
 
 }  // namespace

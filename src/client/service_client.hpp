@@ -1,7 +1,7 @@
 // The public client surface of the repository: one ServiceClient hosts a
 // replicated (and optionally sharded) service — ANY consensus::StateMachine,
-// chosen by ClusterSpec::state_machine_factory — on either backend, and
-// hands out Sessions that talk to it.
+// chosen by ClusterSpec::state_machine_factory — on any of the three
+// backends, and hands out Sessions that talk to it.
 //
 // A Session owns one AsyncClientEngine per consensus group behind a single
 // transport node (the per-group fan-out a transaction coordinator needs,
@@ -11,18 +11,18 @@
 // by 2PC across groups (client/txn.hpp). Single-key routing hashes the key
 // to its owning group.
 //
-// Backends: under kRt every replica and every session occupies a pinned
-// thread exchanging real frames; under kNet those threads exchange the
-// same frames over a loopback TCP socket mesh (registry bootstrap, length-
-// prefixed streams); under kSim the replicas live in the deterministic
-// simulator and blocked sessions pump virtual time from the calling thread
-// — the same bridging the synchronous KV sessions always had.
-// kv::ReplicatedKv/kv::KvSession are now a thin typed facade over this
-// layer.
+// Replicas and sessions are wired through the same core::Transport that
+// core::Cluster uses, picked once from Options::backend: under rt every
+// replica and every session occupies a pinned thread exchanging real
+// frames; under net those threads exchange the same frames over a loopback
+// TCP socket mesh; under sim the replicas live in the deterministic
+// simulator and blocked sessions pump virtual time from the calling thread.
+// kv::ReplicatedKv/kv::KvSession are a thin typed facade over this layer.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -30,14 +30,7 @@
 #include "client/txn.hpp"
 #include "core/cluster_spec.hpp"
 #include "core/sharded_deployment.hpp"
-#include "net/net_node.hpp"
-#include "net/registry.hpp"
-#include "qclt/net.hpp"
-#include "rt/rt_node.hpp"
-
-namespace ci::sim {
-class SimNet;
-}
+#include "core/transport.hpp"
 
 namespace ci::client {
 
@@ -179,10 +172,10 @@ class ServiceClient {
   // bytes) — what the txn benches divide by to get msgs-per-op.
   std::uint64_t total_messages() const;
   std::uint64_t total_bytes() const;
-  // Virtual time under sim (0 under rt, where wall clocks apply).
+  // Virtual time under sim (0 under rt and net, where wall clocks apply).
   Nanos sim_now() const;
   // Advances the simulation to virtual time `t` (no-op when t has passed,
-  // and on the rt backend, where wall time advances itself). This is the
+  // and on the rt and net backends, where wall time advances itself). This is the
   // open-loop workload driver's clock: it paces arrivals by running the
   // cluster to each arrival's scheduled instant instead of blocking in a
   // session wait. Call only between session operations (not from a reply
@@ -192,25 +185,19 @@ class ServiceClient {
   core::ShardedDeployment& deployment() { return dep_; }
 
  private:
-  struct SimState;  // simulator transport + the pump mutex
+  static constexpr Nanos kPumpSlice = 50 * kMicrosecond;
+
+  void pump(const SubmitHandle* awaited);
 
   Options opts_;
-  core::ShardedDeployment dep_;  // replicas only (sessions are wired here, per backend)
+  core::ShardedDeployment dep_;  // replicas only (sessions are wired here)
   std::vector<std::unique_ptr<Session>> sessions_;
   std::vector<std::unique_ptr<consensus::GroupDemuxEngine>> session_demux_;
-
-  // rt backend
-  std::unique_ptr<qclt::Network> net_;
-  std::vector<std::unique_ptr<rt::RtNode>> nodes_;
-
-  // net backend: in-process bootstrap registry + one socket-mesh node per
-  // replica and per session (same thread-per-node shape as rt)
-  std::unique_ptr<net::Registry> registry_;
-  std::unique_ptr<net::IoPool> io_pool_;
-  std::vector<std::unique_ptr<net::NetNode>> net_nodes_;
-
-  // sim backend
-  std::unique_ptr<SimState> sim_;
+  // Serializes every use of a sim transport: pumps from concurrent session
+  // threads, doorbells, clocks and the fault and counter calls below.
+  mutable std::mutex mu_;
+  std::unique_ptr<core::Transport> transport_;  // declared last: stops first
+  sim::SimNet* sim_;                            // null unless transport_ is sim
 };
 
 }  // namespace ci::client

@@ -263,6 +263,16 @@ class Executor {
     return out;
   }
 
+  // True when `cmd` was applied and its result is still in the window.
+  bool applied(const Command& cmd, std::uint64_t* result) const {
+    const auto it = windows_.find(cmd.client);
+    if (it == windows_.end()) return false;
+    const Slot& slot = it->second.slots[cmd.seq % kWindow];
+    if (!slot.used || slot.seq != cmd.seq) return false;
+    *result = slot.result;
+    return true;
+  }
+
  private:
   struct Slot {
     bool used = false;

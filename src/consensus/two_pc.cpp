@@ -1,6 +1,13 @@
 #include "consensus/two_pc.hpp"
 
 namespace ci::consensus {
+namespace {
+
+std::uint64_t client_key(const Command& cmd) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(cmd.client)) << 32) | cmd.seq;
+}
+
+}  // namespace
 
 TwoPcEngine::TwoPcEngine(const TwoPcConfig& cfg)
     : cfg_(cfg), executor_(cfg.base.state_machine) {}
@@ -16,6 +23,14 @@ void TwoPcEngine::on_message(Context& ctx, const Message& m) {
         fwd.dst = cfg_.coordinator;
         ctx.send(cfg_.coordinator, fwd);
         return;
+      }
+      if (const Command& cmd = m.u.client_request.cmd; cmd.client != kNoNode) {
+        if (advocating_.count(client_key(cmd)) != 0) return;
+        if (std::uint64_t result = 0; executor_.applied(cmd, &result)) {
+          reply(ctx, kNoInstance, cmd, result);
+          return;
+        }
+        advocating_.insert(client_key(cmd));
       }
       pending_.push_back(m.u.client_request.cmd);
       pump_rounds(ctx);
@@ -56,21 +71,7 @@ void TwoPcEngine::on_message(Context& ctx, const Message& m) {
       it->second.ack_mask |= 1ULL << m.src;
       if (it->second.ack_mask == all_replicas_mask()) {
         // Round fully acknowledged: reply to the client and free the slot.
-        const Instance in = it->first;
-        if (it->second.has_client) {
-          const Command& cmd = it->second.cmd;
-          Message reply(MsgType::kClientReply, ProtoId::kClient, cfg_.base.self, cmd.client);
-          reply.u.client_reply.seq = cmd.seq;
-          reply.u.client_reply.ok = 1;
-          reply.u.client_reply.instance = in;
-          reply.u.client_reply.leader_hint = cfg_.coordinator;
-          auto rit = results_.find(in);
-          reply.u.client_reply.result = rit == results_.end() ? 0 : rit->second;
-          results_.erase(in);
-          ctx.send(cmd.client, reply);
-        }
-        committed_rounds_++;
-        rounds_.erase(it);
+        finish_round(ctx, it->first, it->second);
         pump_rounds(ctx);
       }
       return;
@@ -152,22 +153,29 @@ void TwoPcEngine::broadcast_commit(Context& ctx, Instance in, Round& r) {
   log_.learn(in, r.cmd);
   log_.drain([&](Instance din, const Command& dcmd) { on_executed(ctx, din, dcmd); });
   // Degenerate single-replica case: already fully acked.
-  if (r.ack_mask == all_replicas_mask()) {
-    const Round done = r;
-    if (done.has_client) {
-      Message reply(MsgType::kClientReply, ProtoId::kClient, cfg_.base.self, done.cmd.client);
-      reply.u.client_reply.seq = done.cmd.seq;
-      reply.u.client_reply.ok = 1;
-      reply.u.client_reply.instance = in;
-      reply.u.client_reply.leader_hint = cfg_.coordinator;
-      auto rit = results_.find(in);
-      reply.u.client_reply.result = rit == results_.end() ? 0 : rit->second;
-      results_.erase(in);
-      ctx.send(done.cmd.client, reply);
-    }
-    committed_rounds_++;
-    rounds_.erase(in);
+  if (r.ack_mask == all_replicas_mask()) finish_round(ctx, in, r);
+}
+
+// Frees the round's slot (`r` dies with it) after replying to its client.
+void TwoPcEngine::finish_round(Context& ctx, Instance in, const Round& r) {
+  if (r.has_client) {
+    auto rit = results_.find(in);
+    reply(ctx, in, r.cmd, rit == results_.end() ? 0 : rit->second);
+    results_.erase(in);
+    advocating_.erase(client_key(r.cmd));
   }
+  committed_rounds_++;
+  rounds_.erase(in);
+}
+
+void TwoPcEngine::reply(Context& ctx, Instance in, const Command& cmd, std::uint64_t result) {
+  Message m(MsgType::kClientReply, ProtoId::kClient, cfg_.base.self, cmd.client);
+  m.u.client_reply.seq = cmd.seq;
+  m.u.client_reply.ok = 1;
+  m.u.client_reply.instance = in;
+  m.u.client_reply.leader_hint = cfg_.coordinator;
+  m.u.client_reply.result = result;
+  ctx.send(cmd.client, m);
 }
 
 void TwoPcEngine::handle_prepare(Context& ctx, const Message& m) {

@@ -18,6 +18,7 @@
 #include <deque>
 #include <map>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "consensus/engine.hpp"
 #include "consensus/log.hpp"
@@ -53,6 +54,11 @@ class TwoPcEngine final : public Engine {
 
   const ReplicatedLog& log() const { return log_; }
   std::uint64_t committed_rounds() const { return committed_rounds_; }
+  // Stall diagnostics: coordinator rounds in flight and commands queued
+  // behind the pipeline window; instances this replica holds prepared.
+  std::size_t rounds_in_flight() const { return rounds_.size(); }
+  std::size_t queued() const { return pending_.size(); }
+  std::size_t prepared_count() const { return prepared_.size(); }
 
  private:
   using Phase = TwoPcPhase;
@@ -72,6 +78,8 @@ class TwoPcEngine final : public Engine {
   void handle_prepare(Context& ctx, const Message& m);
   void handle_commit(Context& ctx, const Message& m);
   void on_executed(Context& ctx, Instance in, const Command& cmd);
+  void finish_round(Context& ctx, Instance in, const Round& r);
+  void reply(Context& ctx, Instance in, const Command& cmd, std::uint64_t result);
 
   std::uint64_t all_replicas_mask() const { return (1ULL << cfg_.base.num_replicas) - 1; }
 
@@ -81,6 +89,14 @@ class TwoPcEngine final : public Engine {
 
   // Coordinator state.
   std::deque<Command> pending_;
+  // (client, seq) of every client command queued or in a round. A client
+  // that times out sends the command it waits on again, to the next
+  // replica, which forwards it here; run as a new round, every copy would
+  // queue behind the others, so under load each retry lengthened the wait
+  // that caused it until the queue outgrew the drain. Copies of a command
+  // still in progress are dropped (its reply is coming); copies of one
+  // already executed are answered from the executor.
+  std::unordered_set<std::uint64_t> advocating_;
   std::map<Instance, Round> rounds_;  // in-flight, ordered by instance
   Instance next_instance_ = 0;
   std::uint64_t committed_rounds_ = 0;

@@ -6,8 +6,8 @@
 // runtime (rt). The per-backend structs at the bottom carry only what a
 // spec cannot abstract over (the simulator's cost model, thread pinning).
 //
-// See DESIGN.md "Deployment layer" for how SimCluster / RtCluster consume
-// this through core::Deployment.
+// See DESIGN.md §1 for how core::Cluster consumes this through
+// core::Deployment and a core::Transport.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,10 @@
 // The shared deployment builder: turns a ClusterSpec into wired engines.
 //
-// Both backends used to duplicate this — SimCluster::build() and RtCluster's
-// constructor each created state machines, replica engines, client engines,
-// the 2PC-Joint local-read hook, and joint co-location. Deployment does it
-// once; SimCluster and RtCluster only attach the result to their transport
-// (SimNet vs qclt::Network) and drive time.
+// Deployment creates the state machines, replica engines, client engines,
+// the 2PC-Joint local-read hook, and joint co-location once; core::Cluster
+// only attaches the result to its transport and drives time.
 //
-// Node id layout (shared by both backends):
+// Node id layout (shared by every backend):
 //   * separate:  replicas 0..R-1, clients R..R+C-1
 //   * joint:     nodes 0..R-1, each hosting replica r + client r (§7.4)
 // Backend-private helpers (rt's load manager) take ids past node_count().

@@ -90,8 +90,7 @@ class ShardedDeployment {
   // Id allocation for external sessions: the k-th session (k = sessions
   // registered so far) occupies transport node num_nodes()+k and group-local
   // participant id nodes_per_group()+k in every group. ServiceClient wires
-  // its sessions through this so backends can size transports as
-  // num_nodes() + external_count().
+  // its sessions through this.
   struct ExternalSeat {
     consensus::NodeId global = consensus::kNoNode;
     consensus::NodeId local = consensus::kNoNode;
@@ -99,7 +98,6 @@ class ShardedDeployment {
   ExternalSeat next_external_seat() const {
     return ExternalSeat{num_nodes() + externals_, shard_.nodes_per_group() + externals_};
   }
-  std::int32_t external_count() const { return externals_; }
 
   // ---- Aggregates over all groups (live-readable where Deployment's are) ----
   bool clients_done() const;

@@ -7,9 +7,8 @@
 #include <limits>
 
 #include "common/check.hpp"
-#include "net/net_cluster.hpp"
-#include "rt/rt_cluster.hpp"
-#include "sim/sim_cluster.hpp"
+#include "core/cluster.hpp"
+#include "net/endpoint.hpp"
 
 namespace ci::harness {
 namespace {
@@ -48,77 +47,6 @@ FlagForm flag_form(const char* arg, const char* name) {
   if (arg[n] == '=') return FlagForm::kEquals;
   if (arg[n] == '\0') return FlagForm::kSpace;
   return FlagForm::kNone;  // longer flag sharing the prefix (--groupsize)
-}
-
-RunResult run_sim_backend(const ShardSpec& shard, const RunPlan& plan) {
-  sim::SimCluster c(shard);
-  c.run(plan.warmup);
-  const std::uint64_t committed_warm = c.total_committed();
-  const std::uint64_t issued_warm = c.total_issued();
-  const std::uint64_t local_reads_warm = c.sharded().total_local_reads();
-  const std::uint64_t messages_warm = c.net().total_messages();
-  const std::uint64_t bytes_warm = c.net().total_bytes();
-  c.run(plan.warmup + plan.duration);
-  const Nanos measured = std::max<Nanos>(c.net().now() - plan.warmup, 1);
-  RunResult res = c.result(measured);
-  res.committed -= committed_warm;
-  res.issued -= issued_warm;
-  res.local_reads -= local_reads_warm;
-  res.total_messages -= messages_warm;
-  res.total_bytes -= bytes_warm;
-  return res;
-}
-
-RunResult run_rt_backend(const ShardSpec& shard, const RunPlan& plan) {
-  rt::RtCluster c(shard);
-  c.start();
-  const Nanos t0 = now_nanos();
-  c.drive_until(t0 + plan.warmup);
-  const std::uint64_t committed_warm = c.live_committed();
-  const std::uint64_t issued_warm = c.live_issued();
-  const std::uint64_t local_reads_warm = c.live_local_reads();
-  const std::uint64_t messages_warm = c.live_messages();
-  const std::uint64_t bytes_warm = c.live_bytes();
-  const Nanos measure_start = now_nanos();
-  c.drive_until(t0 + std::min(plan.warmup + plan.duration, plan.max_wall));
-  const Nanos measured = std::max<Nanos>(now_nanos() - measure_start, 1);
-  c.stop();
-  RunResult res = c.collect();
-  res.committed -= committed_warm;
-  res.issued -= issued_warm;
-  res.local_reads -= local_reads_warm;
-  res.total_messages -= messages_warm;
-  res.total_bytes -= bytes_warm;
-  res.duration = measured;
-  return res;
-}
-
-// Same warmup-subtraction shape as run_rt_backend, but the cluster is a
-// loopback socket mesh: total_messages/total_bytes count actual frames and
-// socket bytes (length prefix included), so msgs/op and bytes/op rows are
-// honest wire numbers.
-RunResult run_net_backend(const ShardSpec& shard, const RunPlan& plan) {
-  net::NetCluster c(shard);
-  c.start();
-  const Nanos t0 = now_nanos();
-  c.drive_until(t0 + plan.warmup);
-  const std::uint64_t committed_warm = c.live_committed();
-  const std::uint64_t issued_warm = c.live_issued();
-  const std::uint64_t local_reads_warm = c.live_local_reads();
-  const std::uint64_t messages_warm = c.live_messages();
-  const std::uint64_t bytes_warm = c.live_bytes();
-  const Nanos measure_start = now_nanos();
-  c.drive_until(t0 + std::min(plan.warmup + plan.duration, plan.max_wall));
-  const Nanos measured = std::max<Nanos>(now_nanos() - measure_start, 1);
-  c.stop();
-  RunResult res = c.collect();
-  res.committed -= committed_warm;
-  res.issued -= issued_warm;
-  res.local_reads -= local_reads_warm;
-  res.total_messages -= messages_warm;
-  res.total_bytes -= bytes_warm;
-  res.duration = measured;
-  return res;
 }
 
 // Scans argv for `--name=value` or `--name value`. Returns the value, or
@@ -826,15 +754,35 @@ void require_harness_flags_only(int argc, char** argv,
 }
 
 RunResult run(Backend b, const ShardSpec& shard, const RunPlan& plan) {
-  switch (b) {
-    case Backend::kSim:
-      return run_sim_backend(shard, plan);
-    case Backend::kRt:
-      return run_rt_backend(shard, plan);
-    case Backend::kNet:
-      return run_net_backend(shard, plan);
+  core::Cluster c(b, shard);
+  c.start();
+  const Nanos t0 = c.now();
+  // What the warmup did is excluded from the counts. On a real clock with
+  // no warmup there is nothing to exclude: a snapshot taken after start()
+  // races the running clients and would drop their first commits.
+  RunResult warm;
+  if (plan.warmup > 0 || !c.threaded()) {
+    c.run_until(t0 + plan.warmup);
+    warm.committed = c.total_committed();
+    warm.issued = c.total_issued();
+    warm.local_reads = c.sharded().total_local_reads();
+    warm.total_messages = c.total_messages();
+    warm.total_bytes = c.total_bytes();
   }
-  CI_CHECK_MSG(false, "unreachable backend");
+  const Nanos measure_start = c.now();
+  // max_wall bounds real clocks only: virtual time cannot hang.
+  const Nanos span = plan.warmup + plan.duration;
+  c.run_until(t0 + (c.threaded() ? std::min(span, plan.max_wall) : span));
+  const Nanos measured = std::max<Nanos>(c.now() - measure_start, 1);
+  c.stop();
+  RunResult res = c.collect();
+  res.committed -= warm.committed;
+  res.issued -= warm.issued;
+  res.local_reads -= warm.local_reads;
+  res.total_messages -= warm.total_messages;
+  res.total_bytes -= warm.total_bytes;
+  res.duration = measured;
+  return res;
 }
 
 RunResult run(Backend b, const ClusterSpec& spec, const RunPlan& plan) {
@@ -924,15 +872,6 @@ SweepDiffN sweep_diff(const std::vector<Backend>& backends, const ShardSpec& sha
       }
     }
   }
-  return d;
-}
-
-SweepDiff sweep_diff(const ShardSpec& shard, const RunPlan& plan) {
-  SweepDiffN n = sweep_diff({Backend::kSim, Backend::kRt}, shard, plan);
-  SweepDiff d;
-  d.sim = n.runs[0].result;
-  d.rt = n.runs[1].result;
-  d.mismatches = std::move(n.mismatches);
   return d;
 }
 

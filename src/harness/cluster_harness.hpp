@@ -189,17 +189,17 @@ std::vector<std::string> positional_args(int argc, char** argv);
 void require_harness_flags_only(int argc, char** argv,
                                 std::initializer_list<const char*> consumed = {});
 
-// How to drive the run. Virtual time under sim, wall time under rt.
+// How to drive the run. Virtual time under sim, wall time under rt and net.
 struct RunPlan {
   // Excluded from committed/issued/message counts (latency histograms span
-  // the whole run on both backends).
+  // the whole run on every backend).
   Nanos warmup = 0;
   // Measurement window. A request quota (workload.requests_per_client > 0)
   // may end the run earlier; the result's `duration` reports the window
   // actually measured.
   Nanos duration = 1 * kSecond;
-  // Safety net for the rt backend (threads can't outrun a hung protocol the
-  // way virtual time can).
+  // Safety net for rt and net (threads can't outrun a hung protocol the way
+  // virtual time can); sim ignores it.
   Nanos max_wall = 30 * kSecond;
 };
 
@@ -235,18 +235,6 @@ struct SweepDiffN {
 // non-empty and duplicate-free.
 SweepDiffN sweep_diff(const std::vector<Backend>& backends, const ShardSpec& shard,
                       const RunPlan& plan);
-
-// The classic two-way form: sim vs rt, same checks, kept for the benches
-// and tests that predate the backend-list API.
-struct SweepDiff {
-  RunResult sim;
-  RunResult rt;
-  std::vector<std::string> mismatches;
-
-  bool ok() const { return mismatches.empty(); }
-};
-
-SweepDiff sweep_diff(const ShardSpec& shard, const RunPlan& plan);
 
 // True when argv carries `--sweep-diff` (a valueless flag, recognized by
 // the strict scanners; a binary that reads it lists it in its `consumed`

@@ -176,7 +176,7 @@ class NetNode {
     }
     void send(NodeId dst, const Message& m) override { node_->send(dst, m); }
     // Delivery reporting happens in the GroupDemuxEngine hosted on every
-    // node (NetCluster's hook logs per node thread), same as rt.
+    // node (core::Cluster's hook logs per node thread), same as rt.
     void deliver(Instance, const Command&) override {}
 
     std::atomic<std::uint64_t> sent{0};

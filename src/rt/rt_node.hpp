@@ -98,8 +98,8 @@ class RtNode {
     }
     void send(NodeId dst, const Message& m) override { node_->send(dst, m); }
     // Delivery reporting happens in the GroupDemuxEngine hosted on every
-    // node (RtCluster's hook logs per node thread and replays into the
-    // per-group recorders after join()); the transport has no channel.
+    // node (core::Cluster's hook logs per node thread and replays into the
+    // per-group recorders after stop()); the transport has no channel.
     void deliver(Instance, const Command&) override {}
 
     std::atomic<std::uint64_t> sent{0};

@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "consensus/multi_paxos.hpp"
+#include "core/cluster.hpp"
 #include "core/one_paxos.hpp"
-#include "sim/sim_cluster.hpp"
 #include "support/fake_net.hpp"
 
 namespace ci::core {
@@ -48,13 +48,13 @@ TEST_P(BatchedSlowLeader, NoAckedCommandLostAcrossTheTakeover) {
   // are in flight, and never heals.
   o.faults.slow_node(0, 50 * kMillisecond, 10 * kSecond, 1000);
 
-  sim::SimCluster c(o);
-  c.run(600 * kMillisecond);
+  Cluster c(Backend::kSim, o);
+  c.run_until(600 * kMillisecond);
 
   EXPECT_TRUE(c.consistent());
   // Commits continued past the fault: a takeover happened.
   EXPECT_GT(c.total_committed(), 100u);
-  EXPECT_NE(c.replica_engine(1)->believed_leader(), 0);
+  EXPECT_NE(c.deployment().replica_engine(1)->believed_leader(), 0);
 
   // Every acked command survived: a closed-loop client with `k` commits was
   // acked for seqs 1..k, and an ack is only sent after the command decided
@@ -67,7 +67,7 @@ TEST_P(BatchedSlowLeader, NoAckedCommandLostAcrossTheTakeover) {
   }
   for (std::int32_t i = 0; i < c.client_count(); ++i) {
     const consensus::NodeId client_node = o.num_replicas + i;
-    const std::uint64_t committed = c.client(i).committed();
+    const std::uint64_t committed = c.client(i)->committed();
     EXPECT_GT(committed, 0u);
     for (std::uint32_t s = 1; s <= committed; ++s) {
       EXPECT_TRUE(decided.count({client_node, s}))

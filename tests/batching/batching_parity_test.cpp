@@ -16,9 +16,8 @@
 #include <tuple>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "harness/cluster_harness.hpp"
-#include "rt/rt_cluster.hpp"
-#include "sim/sim_cluster.hpp"
 
 namespace ci::harness {
 namespace {
@@ -85,12 +84,12 @@ TEST_P(BatchingParity, AcksAndDecidedSequencesMatchTheUnbatchedBaseline) {
 
   if (backend == Backend::kSim) {
     // Baseline first: the same deployment at batch=1.
-    sim::SimCluster base(batched_spec(protocol, backend, groups, 1));
-    base.run(10 * kSecond);
+    core::Cluster base(Backend::kSim, batched_spec(protocol, backend, groups, 1));
+    base.run_until(10 * kSecond);
     ASSERT_TRUE(base.sharded().clients_done());
 
-    sim::SimCluster c(shard);
-    c.run(10 * kSecond);
+    core::Cluster c(Backend::kSim, shard);
+    c.run_until(10 * kSecond);
     ASSERT_TRUE(c.sharded().clients_done());
 
     bool saw_multi_command_batch = false;
@@ -113,9 +112,9 @@ TEST_P(BatchingParity, AcksAndDecidedSequencesMatchTheUnbatchedBaseline) {
     EXPECT_TRUE(saw_multi_command_batch)
         << "batching never engaged: every instance carried one command";
   } else {
-    rt::RtCluster c(shard);
+    core::Cluster c(Backend::kRt, shard);
     c.start();
-    c.drive_until(now_nanos() + 60 * kSecond);
+    c.run_until(now_nanos() + 60 * kSecond);
     c.stop();
     const RunResult r = c.collect();
     ASSERT_TRUE(c.clients_done());
@@ -188,12 +187,12 @@ TEST_P(CoalesceParity, AckSequencesMatchTheUncoalescedBaseline) {
   const ShardSpec shard = coalesced_spec(backend, kGroups, coalesce);
 
   if (backend == Backend::kSim) {
-    sim::SimCluster base(coalesced_spec(backend, kGroups, 1));
-    base.run(10 * kSecond);
+    core::Cluster base(Backend::kSim, coalesced_spec(backend, kGroups, 1));
+    base.run_until(10 * kSecond);
     ASSERT_TRUE(base.sharded().clients_done());
 
-    sim::SimCluster c(shard);
-    c.run(10 * kSecond);
+    core::Cluster c(Backend::kSim, shard);
+    c.run_until(10 * kSecond);
     ASSERT_TRUE(c.sharded().clients_done());
 
     for (GroupId g = 0; g < kGroups; ++g) {
@@ -210,17 +209,17 @@ TEST_P(CoalesceParity, AckSequencesMatchTheUncoalescedBaseline) {
     if (coalesce > 1) {
       // The point of the window: fewer boundary crossings for the same
       // acked stream.
-      EXPECT_LT(c.net().total_messages(), base.net().total_messages())
+      EXPECT_LT(c.total_messages(), base.total_messages())
           << "coalescing never formed a shared frame";
     } else {
       // coalesce=1 IS the baseline configuration: bit-identical run.
-      EXPECT_EQ(c.net().total_messages(), base.net().total_messages());
-      EXPECT_EQ(c.net().total_bytes(), base.net().total_bytes());
+      EXPECT_EQ(c.total_messages(), base.total_messages());
+      EXPECT_EQ(c.total_bytes(), base.total_bytes());
     }
   } else {
-    rt::RtCluster c(shard);
+    core::Cluster c(Backend::kRt, shard);
     c.start();
-    c.drive_until(now_nanos() + 60 * kSecond);
+    c.run_until(now_nanos() + 60 * kSecond);
     c.stop();
     const RunResult r = c.collect();
     ASSERT_TRUE(c.clients_done());

@@ -10,9 +10,8 @@
 #include <string>
 #include <tuple>
 
+#include "core/cluster.hpp"
 #include "harness/cluster_harness.hpp"
-#include "rt/rt_cluster.hpp"
-#include "sim/sim_cluster.hpp"
 
 namespace ci::harness {
 namespace {
@@ -65,25 +64,25 @@ TEST_P(ShardedParity, EveryGroupCommitsItsQuotaIndependently) {
   const ShardSpec shard = sharded_spec(protocol, placement, backend);
 
   if (backend == Backend::kSim) {
-    sim::SimCluster c(shard);
-    c.run(10 * kSecond);  // the quota ends the run long before this
+    core::Cluster c(Backend::kSim, shard);
+    c.run_until(10 * kSecond);  // the quota ends the run long before this
     ASSERT_TRUE(c.sharded().clients_done());
     check_groups(c.sharded());
-    EXPECT_GT(c.net().total_messages(), 0u);
+    EXPECT_GT(c.total_messages(), 0u);
     // Nothing was dropped on the demux floor: every message found its group.
     for (consensus::NodeId n = 0; n < c.sharded().num_nodes(); ++n) {
       EXPECT_EQ(c.sharded().node_engine(n)->unroutable(), 0u);
     }
     // Per-shard reporting views one group's slice of the run.
     for (GroupId g = 0; g < kGroups; ++g) {
-      const RunResult gr = c.group_result(g, c.net().now());
+      const RunResult gr = c.collect_group(g);
       EXPECT_EQ(gr.committed, kRequestsPerClient * static_cast<std::uint64_t>(kClients));
       EXPECT_TRUE(gr.consistent);
     }
   } else {
-    rt::RtCluster c(shard);
+    core::Cluster c(Backend::kRt, shard);
     c.start();
-    c.drive_until(now_nanos() + 60 * kSecond);
+    c.run_until(now_nanos() + 60 * kSecond);
     c.stop();
     const RunResult r = c.collect();  // replays delivery logs into recorders
     ASSERT_TRUE(c.clients_done());
@@ -184,8 +183,8 @@ TEST(ShardedFaultPlan, SlowLeaderHitsEveryGroupAndAllRideThrough) {
   o.seed = 13;
   o.faults.slow_node(0, 50 * kMillisecond, 10 * kSecond, 1000);
 
-  sim::SimCluster c(core::ShardSpec(o, 4, Placement::kInterleaved));
-  c.run(600 * kMillisecond);
+  core::Cluster c(Backend::kSim, core::ShardSpec(o, 4, Placement::kInterleaved));
+  c.run_until(600 * kMillisecond);
   for (GroupId g = 0; g < 4; ++g) {
     SCOPED_TRACE("group " + std::to_string(g));
     EXPECT_TRUE(c.sharded().recorder(g).consistent());

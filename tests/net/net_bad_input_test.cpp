@@ -12,8 +12,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "core/cluster_spec.hpp"
-#include "net/net_cluster.hpp"
+#include "net/net_node.hpp"
 
 namespace ci::net {
 namespace {
@@ -22,12 +23,18 @@ using consensus::Message;
 using consensus::MsgType;
 using consensus::ProtoId;
 using core::Backend;
+using core::Cluster;
 using core::ClusterSpec;
 using core::Protocol;
 using core::RunResult;
 
 constexpr std::uint64_t kQuota = 400;
 constexpr std::uint64_t kGarbageAfter = 20;  // commits before the bad frames
+
+// The socket-mesh node behind transport node `n` of a net cluster.
+NetNode& mesh_node(Cluster& c, consensus::NodeId n) {
+  return dynamic_cast<core::ThreadedTransport<NetNode>&>(c.transport()).node(n);
+}
 
 // One length-prefixed frame: `body` as the peer's reassembler will see it.
 std::vector<unsigned char> prefixed(const unsigned char* body, std::uint32_t len) {
@@ -68,36 +75,36 @@ TEST(BadFrames, CostOneLinkAndTheRestKeepCommitting) {
   o.seed = 43;
   o.engine.batch.max_commands = 8;
 
-  NetCluster c(o);
+  Cluster c(Backend::kNet, o);
   c.start();
   const Nanos deadline = now_nanos() + 30 * kSecond;
-  while (c.live_committed() < kGarbageAfter && now_nanos() < deadline) {
+  while (c.total_committed() < kGarbageAfter && now_nanos() < deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(c.live_committed(), kGarbageAfter) << "mesh never got off the ground";
+  ASSERT_GE(c.total_committed(), kGarbageAfter) << "mesh never got off the ground";
 
   // Follower 2 turns faulty toward follower 1 and toward the leader.
-  c.node(2).inject_raw(1, reply_batch_of_65(2, 1));
-  c.node(2).inject_raw(0, unknown_type_frame());
+  mesh_node(c, 2).inject_raw(1, reply_batch_of_65(2, 1));
+  mesh_node(c, 2).inject_raw(0, unknown_type_frame());
   const Nanos seen_by = now_nanos() + 10 * kSecond;
-  while ((c.node(0).bad_frames() == 0 || c.node(1).bad_frames() == 0) &&
+  while ((mesh_node(c, 0).bad_frames() == 0 || mesh_node(c, 1).bad_frames() == 0) &&
          now_nanos() < seen_by) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  EXPECT_EQ(c.node(1).bad_frames(), 1u) << "the 65-entry reply batch was not refused";
-  EXPECT_EQ(c.node(0).bad_frames(), 1u) << "the unknown-type frame was not refused";
-  const std::uint64_t at_garbage = c.live_committed();
+  EXPECT_EQ(mesh_node(c, 1).bad_frames(), 1u) << "the 65-entry reply batch was not refused";
+  EXPECT_EQ(mesh_node(c, 0).bad_frames(), 1u) << "the unknown-type frame was not refused";
+  const std::uint64_t at_garbage = c.total_committed();
 
-  c.drive_until(now_nanos() + 60 * kSecond);
+  c.run_until(now_nanos() + 60 * kSecond);
   c.stop();
   const RunResult r = c.collect();
   ASSERT_TRUE(c.clients_done()) << "the quota stalled after the bad frames";
-  EXPECT_GT(c.live_committed(), at_garbage) << "nothing committed after the bad frames";
+  EXPECT_GT(c.total_committed(), at_garbage) << "nothing committed after the bad frames";
   EXPECT_TRUE(r.consistent);
   for (std::int32_t i = 0; i < c.client_count(); ++i) {
     EXPECT_EQ(c.client(i)->committed(), kQuota);
   }
-  EXPECT_EQ(c.node(2).bad_frames(), 0u);  // the sender saw nothing wrong
+  EXPECT_EQ(mesh_node(c, 2).bad_frames(), 0u);  // the sender saw nothing wrong
 }
 
 }  // namespace

@@ -14,17 +14,24 @@
 #include <thread>
 #include <utility>
 
+#include "core/cluster.hpp"
 #include "core/cluster_spec.hpp"
-#include "net/net_cluster.hpp"
+#include "net/net_node.hpp"
 
 namespace ci::net {
 namespace {
 
 using consensus::Command;
 using core::Backend;
+using core::Cluster;
 using core::ClusterSpec;
 using core::Protocol;
 using core::RunResult;
+
+// The socket-mesh node behind transport node `n` of a net cluster.
+NetNode& mesh_node(Cluster& c, consensus::NodeId n) {
+  return dynamic_cast<core::ThreadedTransport<NetNode>&>(c.transport()).node(n);
+}
 
 constexpr std::uint64_t kQuota = 40;
 constexpr std::int32_t kClients = 2;
@@ -42,22 +49,22 @@ TEST_P(LeaderKill, NoAckedCommandLostAcrossAFailStopLeader) {
   o.seed = 37;
   o.engine.batch.max_commands = 8;
 
-  NetCluster c(o);
+  Cluster c(Backend::kNet, o);
   c.start();
 
   // Let the mesh commit a batch's worth of real traffic, then fail-stop
   // the initial leader (replica 0 is transport node 0 under group-major
   // placement) while requests are in flight.
   const Nanos kill_deadline = now_nanos() + 30 * kSecond;
-  while (c.live_committed() < kKillAfter && now_nanos() < kill_deadline) {
+  while (c.total_committed() < kKillAfter && now_nanos() < kill_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(c.live_committed(), kKillAfter) << "mesh never got off the ground";
-  c.kill_node(0);
+  ASSERT_GE(c.total_committed(), kKillAfter) << "mesh never got off the ground";
+  mesh_node(c, 0).kill();
 
   // The survivors must detect the silence, take over, and finish the
   // remaining quota without the dead node.
-  c.drive_until(now_nanos() + 60 * kSecond);
+  c.run_until(now_nanos() + 60 * kSecond);
   c.stop();
   const RunResult r = c.collect();
   ASSERT_TRUE(c.clients_done()) << "quota stalled after the leader kill";
@@ -104,16 +111,16 @@ TEST(FollowerKill, MajorityKeepsCommitting) {
   o.workload.requests_per_client = kQuota;
   o.seed = 41;
 
-  NetCluster c(o);
+  Cluster c(Backend::kNet, o);
   c.start();
   const Nanos kill_deadline = now_nanos() + 30 * kSecond;
-  while (c.live_committed() < kKillAfter && now_nanos() < kill_deadline) {
+  while (c.total_committed() < kKillAfter && now_nanos() < kill_deadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  ASSERT_GE(c.live_committed(), kKillAfter);
-  c.kill_node(2);  // a follower
+  ASSERT_GE(c.total_committed(), kKillAfter);
+  mesh_node(c, 2).kill();  // a follower
 
-  c.drive_until(now_nanos() + 60 * kSecond);
+  c.run_until(now_nanos() + 60 * kSecond);
   c.stop();
   const RunResult r = c.collect();
   ASSERT_TRUE(c.clients_done()) << "quota stalled after a follower kill";

@@ -1,5 +1,5 @@
 // Loopback-mesh parity vs the simulator: the same ShardSpec runs under
-// sim::SimCluster and net::NetCluster across {MultiPaxos, 1Paxos} x groups
+// the sim and net backends of core::Cluster across {MultiPaxos, 1Paxos} x groups
 // {1, 4} x batch {1, 64}, and the socket mesh must reproduce what the
 // deterministic backend proved: every client's full ack quota, identical
 // per-client acked command sequences (first decisions in seq order — the
@@ -14,9 +14,8 @@
 #include <tuple>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "harness/cluster_harness.hpp"
-#include "net/net_cluster.hpp"
-#include "sim/sim_cluster.hpp"
 
 namespace ci::harness {
 namespace {
@@ -88,14 +87,14 @@ TEST_P(NetSimParity, SocketMeshReproducesTheSimulatedAckSequences) {
   const auto [protocol, groups, batch] = GetParam();
 
   // The deterministic reference run.
-  sim::SimCluster base(mesh_spec(protocol, Backend::kSim, groups, batch));
-  base.run(20 * kSecond);
+  core::Cluster base(Backend::kSim, mesh_spec(protocol, Backend::kSim, groups, batch));
+  base.run_until(20 * kSecond);
   ASSERT_TRUE(base.sharded().clients_done());
 
   // The same deployment over real sockets.
-  net::NetCluster c(mesh_spec(protocol, Backend::kNet, groups, batch));
+  core::Cluster c(Backend::kNet, mesh_spec(protocol, Backend::kNet, groups, batch));
   c.start();
-  c.drive_until(now_nanos() + 60 * kSecond);
+  c.run_until(now_nanos() + 60 * kSecond);
   c.stop();
   const RunResult r = c.collect();
   ASSERT_TRUE(c.clients_done()) << "net mesh missed its quota";

@@ -6,10 +6,17 @@
 #include <thread>
 
 #include "common/affinity.hpp"
-#include "rt/rt_cluster.hpp"
+#include "core/cluster.hpp"
 
 namespace ci::rt {
 namespace {
+
+using core::Backend;
+using core::Cluster;
+using core::ClusterSpec;
+using core::Protocol;
+using core::protocol_name;
+using core::RunResult;
 
 ClusterSpec opts(Protocol p, std::int32_t clients, std::uint64_t reqs) {
   ClusterSpec o;
@@ -23,7 +30,7 @@ ClusterSpec opts(Protocol p, std::int32_t clients, std::uint64_t reqs) {
 class RtProtocols : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(RtProtocols, SingleClientCommits) {
-  RtCluster c(opts(GetParam(), 1, 100));
+  Cluster c(Backend::kRt, opts(GetParam(), 1, 100));
   c.start();
   const RunResult r = c.run_to_completion(20 * kSecond);
   EXPECT_EQ(r.committed, 100u) << protocol_name(GetParam());
@@ -32,7 +39,7 @@ TEST_P(RtProtocols, SingleClientCommits) {
 }
 
 TEST_P(RtProtocols, FourClientsCommit) {
-  RtCluster c(opts(GetParam(), 4, 100));
+  Cluster c(Backend::kRt, opts(GetParam(), 4, 100));
   c.start();
   const RunResult r = c.run_to_completion(30 * kSecond);
   EXPECT_EQ(r.committed, 400u) << protocol_name(GetParam());
@@ -60,7 +67,7 @@ TEST(RtCluster, JointDeploymentCommits) {
   ClusterSpec o = opts(Protocol::kOnePaxos, 0, 100);
   o.joint = true;
   o.num_replicas = 4;
-  RtCluster c(o);
+  Cluster c(Backend::kRt, o);
   c.start();
   const RunResult r = c.run_to_completion(20 * kSecond);
   EXPECT_EQ(r.committed, 400u);
@@ -72,7 +79,7 @@ TEST(RtCluster, TwoPcJointLocalReadsServeWithoutMessages) {
   o.joint = true;
   o.joint_local_reads = true;
   o.workload.read_fraction = 0.75;
-  RtCluster c(o);
+  Cluster c(Backend::kRt, o);
   c.start();
   const RunResult r = c.run_to_completion(20 * kSecond);
   EXPECT_EQ(r.committed, 600u);
@@ -87,7 +94,7 @@ TEST(RtCluster, OnePaxosLatencyBeatsTwoPc) {
   auto best_median = [](Protocol p) {
     Nanos best = 0;
     for (int run = 0; run < 3; ++run) {
-      RtCluster c(opts(p, 1, 2000));
+      Cluster c(Backend::kRt, opts(p, 1, 2000));
       c.start();
       const RunResult r = c.run_to_completion(30 * kSecond);
       EXPECT_EQ(r.committed, 2000u);
@@ -102,7 +109,7 @@ TEST(RtCluster, OnePaxosLatencyBeatsTwoPc) {
       << "1Paxos median " << opx << "ns vs 2PC median " << tpc << "ns";
 }
 
-std::uint64_t committed_sum(RtCluster& c) {
+std::uint64_t committed_sum(Cluster& c) {
   std::uint64_t sum = 0;
   for (std::int32_t i = 0; i < c.client_count(); ++i) sum += c.client(i)->committed();
   return sum;
@@ -114,7 +121,7 @@ TEST(RtCluster, OnePaxosSurvivesSlowLeader) {
   // CPU affinity, so burner threads do not contend; see DESIGN.md).
   ClusterSpec o = opts(Protocol::kOnePaxos, 5, 0);
   o.workload.requests_per_client = 0;
-  RtCluster c(o);
+  Cluster c(Backend::kRt, o);
   c.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const std::uint64_t before = committed_sum(c);
@@ -136,7 +143,7 @@ TEST(RtCluster, OnePaxosSurvivesSlowLeader) {
 TEST(RtCluster, TwoPcBlocksUnderSlowCoordinator) {
   ClusterSpec o = opts(Protocol::kTwoPc, 5, 0);
   o.workload.requests_per_client = 0;
-  RtCluster c(o);
+  Cluster c(Backend::kRt, o);
   c.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const std::uint64_t before = committed_sum(c);
@@ -160,7 +167,7 @@ TEST(RtCluster, TwoPcBlocksUnderSlowParticipant) {
   // Any single slow replica halts 2PC (it waits for ALL acks).
   ClusterSpec o = opts(Protocol::kTwoPc, 5, 0);
   o.workload.requests_per_client = 0;
-  RtCluster c(o);
+  Cluster c(Backend::kRt, o);
   c.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const std::uint64_t before = committed_sum(c);
@@ -177,7 +184,7 @@ TEST(RtCluster, OnePaxosToleratesSlowThirdReplica) {
   // Node 2 is neither leader nor acceptor: 1Paxos keeps full throughput.
   ClusterSpec o = opts(Protocol::kOnePaxos, 5, 0);
   o.workload.requests_per_client = 0;
-  RtCluster c(o);
+  Cluster c(Backend::kRt, o);
   c.start();
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   const std::uint64_t before = committed_sum(c);

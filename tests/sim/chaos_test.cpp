@@ -9,10 +9,16 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "sim/sim_cluster.hpp"
+#include "core/cluster.hpp"
 
 namespace ci::sim {
 namespace {
+
+using core::Backend;
+using core::Cluster;
+using core::ClusterSpec;
+using core::Protocol;
+using core::protocol_name;
 
 class OnePaxosChaos : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -26,7 +32,7 @@ TEST_P(OnePaxosChaos, SurvivesCombinedFaultSchedule) {
   o.workload.think_time = 500 * kMicrosecond;  // stretch across the fault schedule
   o.seed = GetParam();
   o.sim.model.drop_probability = 0.02;
-  SimCluster c(o);
+  Cluster c(Backend::kSim, o);
 
   // Rotating slow windows over the first 120 ms, always leaving a majority
   // healthy (victims are chosen one at a time).
@@ -46,11 +52,11 @@ TEST_P(OnePaxosChaos, SurvivesCombinedFaultSchedule) {
     c.reset_acceptor_state_at(backup, 70 * kMillisecond);
   }
 
-  c.run(3 * kSecond);
+  c.run_until(3 * kSecond);
 
   EXPECT_TRUE(c.consistent()) << "seed " << GetParam();
   EXPECT_EQ(c.total_committed(), 3u * 300u) << "liveness lost, seed " << GetParam();
-  const auto& logs = c.delivered_by_node();
+  const auto& logs = c.deployment().recorder().delivered_by_node();
   for (std::size_t a = 0; a < logs.size(); ++a) {
     for (std::size_t b = a + 1; b < logs.size(); ++b) {
       const std::size_t n = std::min(logs[a].size(), logs[b].size());

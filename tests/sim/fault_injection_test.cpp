@@ -11,10 +11,16 @@
 #include <gtest/gtest.h>
 
 #include "core/one_paxos.hpp"
-#include "sim/sim_cluster.hpp"
+#include "core/cluster.hpp"
 
 namespace ci::sim {
 namespace {
+
+using core::Backend;
+using core::Cluster;
+using core::ClusterSpec;
+using core::Protocol;
+using core::protocol_name;
 
 constexpr Nanos kWindowStart = 20 * kMillisecond;
 constexpr Nanos kWindowEnd = 120 * kMillisecond;
@@ -41,14 +47,14 @@ struct PhaseCounts {
 
 PhaseCounts run_with_slow_node(ClusterSpec opts, consensus::NodeId victim,
                                double factor = kSlowFactor) {
-  SimCluster c(opts);
+  Cluster c(Backend::kSim, opts);
   c.slow_node(victim, kWindowStart, kWindowEnd, factor);
   PhaseCounts counts;
-  c.run(kWindowStart);
+  c.run_until(kWindowStart);
   counts.before = c.total_committed();
-  c.run(kWindowEnd);
+  c.run_until(kWindowEnd);
   counts.during = c.total_committed() - counts.before;
-  c.run(kRunEnd);
+  c.run_until(kRunEnd);
   counts.after = c.total_committed() - counts.before - counts.during;
   EXPECT_TRUE(c.consistent());
   return counts;
@@ -90,18 +96,18 @@ TEST(OnePaxosFaults, SlowThirdReplicaDoesNotStallCommits) {
 
 TEST(OnePaxosFaults, SlowAcceptorIsReplaced) {
   ClusterSpec o = faulty_opts(Protocol::kOnePaxos);
-  SimCluster c(o);
+  Cluster c(Backend::kSim, o);
   c.slow_node(1, kWindowStart, kRunEnd, kSlowFactor);  // acceptor slow forever
-  c.run(kRunEnd);
+  c.run_until(kRunEnd);
   EXPECT_TRUE(c.consistent());
   // The leader must have replaced the acceptor and continued.
-  auto* leader = c.one_paxos(0);
+  auto* leader = c.deployment().one_paxos(0);
   ASSERT_NE(leader, nullptr);
   EXPECT_TRUE(leader->is_leader());
   EXPECT_NE(leader->active_acceptor(), 1);
   // Commits continue after the switch.
-  SimCluster baseline(o);
-  baseline.run(kRunEnd);
+  Cluster baseline(Backend::kSim, o);
+  baseline.run_until(kRunEnd);
   EXPECT_GT(c.total_committed(), baseline.total_committed() / 4);
 }
 
@@ -118,13 +124,13 @@ TEST(OnePaxosFaults, SlowLeaderIsReplacedAndThroughputRecovers) {
 
 TEST(OnePaxosFaults, LeaderChangeElectsDifferentNode) {
   ClusterSpec o = faulty_opts(Protocol::kOnePaxos);
-  SimCluster c(o);
+  Cluster c(Backend::kSim, o);
   c.slow_node(0, kWindowStart, kRunEnd, kSlowFactor);  // leader slow forever
-  c.run(kRunEnd);
+  c.run_until(kRunEnd);
   EXPECT_TRUE(c.consistent());
   // Some other node must now lead; with node 1 hosting the acceptor, the
   // takeover falls to node 2 (§5.4 placement keeps leader != acceptor).
-  auto* n2 = c.one_paxos(2);
+  auto* n2 = c.deployment().one_paxos(2);
   ASSERT_NE(n2, nullptr);
   EXPECT_TRUE(n2->is_leader());
   EXPECT_EQ(n2->active_acceptor(), 1);
@@ -134,14 +140,14 @@ TEST(OnePaxosFaults, BothLeaderAndAcceptorSlow_StallsThenRecovers) {
   // §5.4: with N=3, leader+acceptor slow = 2 of 3 nodes slow; neither
   // 1Paxos nor any majority protocol can progress until one responds.
   ClusterSpec o = faulty_opts(Protocol::kOnePaxos);
-  SimCluster c(o);
+  Cluster c(Backend::kSim, o);
   c.slow_node(0, kWindowStart, kWindowEnd, kSlowFactor);
   c.slow_node(1, kWindowStart, kWindowEnd, kSlowFactor);
-  c.run(kWindowStart);
+  c.run_until(kWindowStart);
   const auto before = c.total_committed();
-  c.run(kWindowEnd);
+  c.run_until(kWindowEnd);
   const auto during = c.total_committed() - before;
-  c.run(kRunEnd);
+  c.run_until(kRunEnd);
   const auto after = c.total_committed() - before - during;
   EXPECT_GT(before, 100u);
   EXPECT_LT(during, before / 5);  // (near-)stalled
@@ -154,16 +160,16 @@ TEST(OnePaxosFaults, FiveReplicasTolerateTwoSlowNonCriticalNodes) {
   // fast path and the utility majority intact.
   ClusterSpec o = faulty_opts(Protocol::kOnePaxos);
   o.num_replicas = 5;
-  SimCluster c(o);
+  Cluster c(Backend::kSim, o);
   c.slow_node(3, kWindowStart, kWindowEnd, kSlowFactor);
   c.slow_node(4, kWindowStart, kWindowEnd, kSlowFactor);
   const PhaseCounts pc = [&] {
     PhaseCounts counts;
-    c.run(kWindowStart);
+    c.run_until(kWindowStart);
     counts.before = c.total_committed();
-    c.run(kWindowEnd);
+    c.run_until(kWindowEnd);
     counts.during = c.total_committed() - counts.before;
-    c.run(kRunEnd);
+    c.run_until(kRunEnd);
     counts.after = c.total_committed() - counts.before - counts.during;
     return counts;
   }();
@@ -179,11 +185,11 @@ TEST(OnePaxosFaults, AcceptorSilentRebootIsDetectedAndReplaced) {
   // hpn/ap, the established leader sees an out-of-order abandon and must
   // switch to a fresh backup; consistency holds throughout.
   ClusterSpec o = faulty_opts(Protocol::kOnePaxos);
-  SimCluster c(o);
+  Cluster c(Backend::kSim, o);
   c.reset_acceptor_state_at(1, 30 * kMillisecond);
-  c.run(kRunEnd);
+  c.run_until(kRunEnd);
   EXPECT_TRUE(c.consistent());
-  auto* leader = c.one_paxos(0);
+  auto* leader = c.deployment().one_paxos(0);
   ASSERT_NE(leader, nullptr);
   EXPECT_TRUE(leader->is_leader());
   EXPECT_NE(leader->active_acceptor(), 1);  // rebooted acceptor was replaced

@@ -17,10 +17,16 @@
 #include <string>
 
 #include "common/rng.hpp"
-#include "sim/sim_cluster.hpp"
+#include "core/cluster.hpp"
 
 namespace ci::sim {
 namespace {
+
+using core::Backend;
+using core::Cluster;
+using core::ClusterSpec;
+using core::Protocol;
+using core::protocol_name;
 
 constexpr Nanos kFaultWindowEnd = 150 * kMillisecond;
 constexpr Nanos kDeadline = 2 * kSecond;
@@ -58,7 +64,7 @@ TEST_P(FaultSweep, SafetyAlwaysLivenessEventually) {
   // timers, so give it loss too on some seeds.
   o.sim.model.drop_probability = rng.next_bool(0.5) ? 0.01 : 0.0;
 
-  SimCluster c(o);
+  Cluster c(Backend::kSim, o);
 
   // 1–3 random slow windows inside [10ms, kFaultWindowEnd).
   const int windows = 1 + static_cast<int>(rng.next_below(3));
@@ -76,11 +82,11 @@ TEST_P(FaultSweep, SafetyAlwaysLivenessEventually) {
     c.reset_acceptor_state_at(1, 40 * kMillisecond);
   }
 
-  c.run(kDeadline);
+  c.run_until(kDeadline);
 
   // SAFETY.
   EXPECT_TRUE(c.consistent()) << "agreement violated";
-  const auto& logs = c.delivered_by_node();
+  const auto& logs = c.deployment().recorder().delivered_by_node();
   for (std::size_t a = 0; a < logs.size(); ++a) {
     for (std::size_t b = a + 1; b < logs.size(); ++b) {
       const std::size_t n = std::min(logs[a].size(), logs[b].size());
@@ -91,7 +97,7 @@ TEST_P(FaultSweep, SafetyAlwaysLivenessEventually) {
   }
   // Non-triviality: every decided command was issued by a live client (or is
   // a recovery no-op).
-  for (const auto& [in, batch] : c.decided()) {
+  for (const auto& [in, batch] : c.deployment().recorder().decided()) {
     for (const auto& cmd : batch) {
       if (cmd.is_noop()) continue;
       ASSERT_GE(cmd.client, 0);
@@ -131,8 +137,8 @@ TEST_P(ReadMixSweep, MixedWorkloadsStayConsistent) {
   o.workload.requests_per_client = 120;
   o.workload.read_fraction = 0.25 * static_cast<double>(param.seed % 4);  // 0, .25, .5, .75
   o.seed = param.seed;
-  SimCluster c(o);
-  c.run(kDeadline);
+  Cluster c(Backend::kSim, o);
+  c.run_until(kDeadline);
   EXPECT_TRUE(c.consistent());
   EXPECT_EQ(c.total_committed(), 3u * o.workload.requests_per_client);
 }

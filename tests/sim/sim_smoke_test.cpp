@@ -3,10 +3,16 @@
 // claims of the paper hold (1Paxos sends fewer messages than Multi-Paxos).
 #include <gtest/gtest.h>
 
-#include "sim/sim_cluster.hpp"
+#include "core/cluster.hpp"
 
 namespace ci::sim {
 namespace {
+
+using core::Backend;
+using core::Cluster;
+using core::ClusterSpec;
+using core::Protocol;
+using core::protocol_name;
 
 ClusterSpec base_opts(Protocol p, std::int32_t clients, std::uint64_t reqs) {
   ClusterSpec o;
@@ -21,23 +27,23 @@ ClusterSpec base_opts(Protocol p, std::int32_t clients, std::uint64_t reqs) {
 class EveryProtocolSmoke : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(EveryProtocolSmoke, SingleClientCommitsAllRequests) {
-  SimCluster c(base_opts(GetParam(), 1, 50));
-  c.run(2 * kSecond);
+  Cluster c(Backend::kSim, base_opts(GetParam(), 1, 50));
+  c.run_until(2 * kSecond);
   EXPECT_EQ(c.total_committed(), 50u) << protocol_name(GetParam());
   EXPECT_TRUE(c.consistent());
 }
 
 TEST_P(EveryProtocolSmoke, FiveClientsCommitAllRequests) {
-  SimCluster c(base_opts(GetParam(), 5, 40));
-  c.run(2 * kSecond);
+  Cluster c(Backend::kSim, base_opts(GetParam(), 5, 40));
+  c.run_until(2 * kSecond);
   EXPECT_EQ(c.total_committed(), 5u * 40u) << protocol_name(GetParam());
   EXPECT_TRUE(c.consistent());
 }
 
 TEST_P(EveryProtocolSmoke, LatencyIsFiniteAndPlausible) {
-  SimCluster c(base_opts(GetParam(), 1, 50));
-  c.run(2 * kSecond);
-  const Histogram h = c.merged_latency();
+  Cluster c(Backend::kSim, base_opts(GetParam(), 1, 50));
+  c.run_until(2 * kSecond);
+  const Histogram h = c.sharded().merged_latency();
   ASSERT_EQ(h.count(), 50u);
   // A commit needs at least one network round trip (~2*(trans+prop) ≈ 2 µs)
   // and, without faults, should stay well under a millisecond.
@@ -46,9 +52,9 @@ TEST_P(EveryProtocolSmoke, LatencyIsFiniteAndPlausible) {
 }
 
 TEST_P(EveryProtocolSmoke, ReplicaLogsArePrefixConsistent) {
-  SimCluster c(base_opts(GetParam(), 3, 30));
-  c.run(2 * kSecond);
-  const auto& logs = c.delivered_by_node();
+  Cluster c(Backend::kSim, base_opts(GetParam(), 3, 30));
+  c.run_until(2 * kSecond);
+  const auto& logs = c.deployment().recorder().delivered_by_node();
   for (std::size_t a = 0; a < logs.size(); ++a) {
     for (std::size_t b = a + 1; b < logs.size(); ++b) {
       const std::size_t n = std::min(logs[a].size(), logs[b].size());
@@ -81,10 +87,10 @@ TEST(SimShape, OnePaxosSendsFewerMessagesThanMultiPaxos) {
   // Fig. 3: 1Paxos halves the boundary-crossing messages of collapsed
   // Multi-Paxos on three nodes.
   auto run_protocol = [](Protocol p) {
-    SimCluster c(base_opts(p, 1, 200));
-    c.run(2 * kSecond);
+    Cluster c(Backend::kSim, base_opts(p, 1, 200));
+    c.run_until(2 * kSecond);
     EXPECT_EQ(c.total_committed(), 200u);
-    return c.net().total_messages();
+    return c.total_messages();
   };
   const auto one = run_protocol(Protocol::kOnePaxos);
   const auto multi = run_protocol(Protocol::kMultiPaxos);
@@ -98,10 +104,10 @@ TEST(SimShape, DeterministicForSameSeed) {
   auto run_once = [](std::uint64_t seed) {
     ClusterSpec o = base_opts(Protocol::kOnePaxos, 3, 50);
     o.seed = seed;
-    SimCluster c(o);
-    c.run(2 * kSecond);
-    return std::make_tuple(c.total_committed(), c.net().total_messages(),
-                           c.merged_latency().mean());
+    Cluster c(Backend::kSim, o);
+    c.run_until(2 * kSecond);
+    return std::make_tuple(c.total_committed(), c.total_messages(),
+                           c.sharded().merged_latency().mean());
   };
   EXPECT_EQ(run_once(7), run_once(7));
   EXPECT_NE(std::get<1>(run_once(7)), 0u);
@@ -110,9 +116,9 @@ TEST(SimShape, DeterministicForSameSeed) {
 TEST(SimShape, TwoPcLatencyExceedsOnePaxos) {
   // §7.2 ordering: 1Paxos < Multi-Paxos < 2PC with one client.
   auto mean_latency = [](Protocol p) {
-    SimCluster c(base_opts(p, 1, 200));
-    c.run(2 * kSecond);
-    return c.merged_latency().mean();
+    Cluster c(Backend::kSim, base_opts(p, 1, 200));
+    c.run_until(2 * kSecond);
+    return c.sharded().merged_latency().mean();
   };
   const double opx = mean_latency(Protocol::kOnePaxos);
   const double mpx = mean_latency(Protocol::kMultiPaxos);
