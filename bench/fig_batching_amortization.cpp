@@ -30,9 +30,10 @@ int main(int argc, char** argv) {
   using core::ShardSpec;
 
   // The batch sweep is this bench's own axis; --batch would silently no-op.
-  harness::require_harness_flags_only(argc, argv, {"--backend", "--sweep-diff"});
-  const Backend backend = harness::backend_from_args(argc, argv, Backend::kSim);
-  const bool diff_backends = harness::sweep_diff_from_args(argc, argv);
+  Flags flags;
+  harness::parse_flags(argc, argv, {Flag::kBackend, Flag::kSweepDiff}, &flags);
+  const Backend backend = flags.backend;
+  const bool diff_backends = flags.sweep_diff;
 
   header("Batching amortization: throughput vs batch size",
          "Multi-Paxos group commit over the §3 cost model",

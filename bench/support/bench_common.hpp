@@ -6,7 +6,7 @@
 // series the paper reports. Absolute numbers reflect this machine and the
 // simulator's cost model; DESIGN.md §3 records the expected *shapes*.
 //
-// Benches accept `--backend={sim,rt,net}` (parsed by backend_from_args) and
+// Benches accept `--backend={sim,rt,net}` (read by harness::parse_flags) and
 // run the same ClusterSpec on whichever runtime was chosen.
 #pragma once
 
@@ -31,6 +31,8 @@ using core::ClusterSpec;
 using core::LatencyModel;
 using core::Protocol;
 using core::TimeoutProfile;
+using harness::Flag;
+using harness::Flags;
 using harness::RunPlan;
 
 inline void header(const char* experiment, const char* paper_ref, const char* what) {

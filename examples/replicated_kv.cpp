@@ -19,12 +19,14 @@
 // puts bound for the same group into one kClientCmdBatch frame (sender-side
 // coalescing, orthogonal to the leader's --batch).
 //
-//   $ ./examples/replicated_kv [1paxos|multipaxos|2pc] [num_ops]
-//       [--backend=sim|rt] [--groups=N] [--placement=group-major|interleaved|colocated]
-//       [--batch=N] [--batch-flush-us=T] [--client-coalesce=N] [--txn-mix=P]
+//   $ ./examples/replicated_kv [1paxos|multipaxos|2pc|basicpaxos] [num_ops]
+//       [--backend=sim|rt|net] [--groups=N] [--placement=group-major|interleaved|colocated]
+//       [--batch=N] [--batch-flush-us=T] [--flush-policy=fixed|adaptive]
+//       [--client-coalesce=N] [--txn-mix=P]
 #include <atomic>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -38,30 +40,45 @@
 int main(int argc, char** argv) {
   using namespace ci;
 
-  // Positional args (protocol, op count); the harness knows which of its
-  // flags consume the following argv slot in their space form.
-  const std::vector<std::string> positional = harness::positional_args(argc, argv);
-  const double txn_mix = harness::txn_mix_from_args(argc, argv, 0.0);
+  using harness::Flag;
+  harness::Flags flags{.backend = core::Backend::kRt};
+  harness::parse_flags(argc, argv,
+                       {Flag::kBackend, Flag::kGroups, Flag::kPlacement, Flag::kBatch,
+                        Flag::kBatchFlushUs, Flag::kFlushPolicy, Flag::kClientCoalesce,
+                        Flag::kTxnMix},
+                       &flags, "[1paxos|multipaxos|2pc|basicpaxos] [num_ops]");
+  const std::vector<std::string>& positional = flags.positional;
+  const double txn_mix = flags.txn_mix;
+  const std::string name = positional.empty() ? "1paxos" : positional[0];
   kv::Protocol protocol = kv::Protocol::kOnePaxos;
-  if (!positional.empty()) {
-    const std::string& p = positional[0];
-    if (p == "2pc") protocol = kv::Protocol::kTwoPc;
-    if (p == "multipaxos") protocol = kv::Protocol::kMultiPaxos;
-    if (p == "basicpaxos") protocol = kv::Protocol::kBasicPaxos;
+  if (name == "2pc") protocol = kv::Protocol::kTwoPc;
+  if (name == "multipaxos") protocol = kv::Protocol::kMultiPaxos;
+  if (name == "basicpaxos") protocol = kv::Protocol::kBasicPaxos;
+  if (protocol == kv::Protocol::kOnePaxos && name != "1paxos") {
+    std::fprintf(stderr, "unknown protocol '%s' (expected 1paxos|multipaxos|2pc|basicpaxos)\n",
+                 name.c_str());
+    return 2;
   }
-  const int ops_per_thread = positional.size() > 1 ? std::atoi(positional[1].c_str()) : 2000;
+  const char* ops = positional.size() > 1 ? positional[1].c_str() : "2000";
+  char* end = nullptr;
+  const long n = std::strtol(ops, &end, 10);
+  if (*end != '\0' || n < 1 || n > std::numeric_limits<int>::max() || positional.size() > 2) {
+    std::fprintf(stderr, "bad op count (expected [protocol] [num_ops], num_ops >= 1)\n");
+    return 2;
+  }
+  const int ops_per_thread = static_cast<int>(n);
   constexpr int kThreads = 4;
 
   kv::ReplicatedKv::Options opts;
-  opts.backend = harness::backend_from_args(argc, argv, core::Backend::kRt);
+  opts.backend = flags.backend;
   opts.spec.apply_backend_profile(opts.backend);
   opts.spec.protocol = protocol;
   opts.spec.num_replicas = 3;
   opts.num_sessions = kThreads;
-  opts.groups = harness::groups_from_args(argc, argv);
-  opts.placement = harness::placement_from_args(argc, argv);
-  opts.spec.engine.batch = harness::batch_policy_from_args(argc, argv);
-  opts.spec.workload.client_coalesce = harness::client_coalesce_from_args(argc, argv);
+  opts.groups = flags.groups;
+  opts.placement = flags.placement;
+  opts.spec.engine.batch = flags.batch;
+  opts.spec.workload.client_coalesce = flags.client_coalesce;
   // Only the Paxos-family leaders batch; silently reporting a batch size a
   // 2PC/Basic-Paxos run ignores would mislabel any numbers cut from this
   // output (the same silent-nonsense class --batch=0 is rejected for).

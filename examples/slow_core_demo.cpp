@@ -69,9 +69,9 @@ void run_protocol(Backend backend, Protocol protocol) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ci::harness::require_harness_flags_only(argc, argv, {"--backend"});
-  const ci::core::Backend backend =
-      ci::harness::backend_from_args(argc, argv, ci::core::Backend::kRt);
+  ci::harness::Flags flags{.backend = ci::core::Backend::kRt};
+  ci::harness::parse_flags(argc, argv, {ci::harness::Flag::kBackend}, &flags);
+  const ci::core::Backend backend = flags.backend;
   std::printf("The paper's claim (Fig. 11 vs. the §2.2 experiment): a blocking\n"
               "protocol stalls on ANY slow replica; 1Paxos routes around it.\n"
               "backend: %s\n", ci::core::backend_name(backend));

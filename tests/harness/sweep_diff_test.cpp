@@ -5,6 +5,8 @@
 // numbers; rt here is oversubscribed).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "harness/cluster_harness.hpp"
 
 namespace ci::harness {
@@ -50,8 +52,17 @@ TEST(SweepDiff, BatchedOnePaxosShapesAgreeAcrossBackends) {
 TEST(SweepDiff, FlagIsRecognized) {
   const char* argv_with[] = {"bin", "--sweep-diff"};
   const char* argv_without[] = {"bin", "--backend=sim"};
-  EXPECT_TRUE(sweep_diff_from_args(2, const_cast<char**>(argv_with)));
-  EXPECT_FALSE(sweep_diff_from_args(2, const_cast<char**>(argv_without)));
+  std::string err;
+  Flags with;
+  ASSERT_EQ(try_parse_flags(2, const_cast<char**>(argv_with), {Flag::kBackend, Flag::kSweepDiff},
+                            &with, &err),
+            Parsed::kOk);
+  EXPECT_TRUE(with.sweep_diff);
+  Flags without;
+  ASSERT_EQ(try_parse_flags(2, const_cast<char**>(argv_without),
+                            {Flag::kBackend, Flag::kSweepDiff}, &without, &err),
+            Parsed::kOk);
+  EXPECT_FALSE(without.sweep_diff);
 }
 
 }  // namespace
